@@ -123,8 +123,10 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 	}
 	// Degenerate dictionaries: all-equal and all-distinct TEXT.
 	for name, gen := range map[string]func(i int) string{
-		"all-equal":    func(int) string { return "same" },
-		"all-distinct": func(i int) string { return "v" + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260)) },
+		"all-equal": func(int) string { return "same" },
+		"all-distinct": func(i int) string {
+			return "v" + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260))
+		},
 	} {
 		rows := make([]types.Row, 300)
 		for i := range rows {
@@ -337,10 +339,7 @@ func TestKeySetMatchesRowKeySet(t *testing.T) {
 		"columnar": ViewKey(&View{Frame: NewFrame(kinds, probe)}, cols),
 		"rowmajor": RowsKey(probe, cols),
 	} {
-		s := NewKeySet(ViewKey(bv, cols))
-		for j := 0; j < len(build); j++ {
-			s.Add(j)
-		}
+		s := BuildKeySet(ViewKey(bv, cols))
 		if s.Len() != ref.Len() {
 			t.Fatalf("%s: KeySet.Len = %d, want %d", name, s.Len(), ref.Len())
 		}
@@ -352,10 +351,7 @@ func TestKeySetMatchesRowKeySet(t *testing.T) {
 	}
 
 	// Row-major build side too.
-	s := NewKeySet(RowsKey(build, cols))
-	for j := range build {
-		s.Add(j)
-	}
+	s := BuildKeySet(RowsKey(build, cols))
 	if s.Len() != ref.Len() {
 		t.Fatalf("rows-build: Len = %d, want %d", s.Len(), ref.Len())
 	}

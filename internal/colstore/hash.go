@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"math"
+
 	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
@@ -75,50 +77,129 @@ func KeysEqual(a Key, i int, b Key, j int) bool {
 	return true
 }
 
-// KeySet is the vectorized semi-join build side: a hash set of the distinct
-// non-NULL keys of one input, probed by membership. Unlike the row-path
-// types.KeySet it stores row positions, not projected key rows, so neither
-// build nor probe allocates per row.
+// KeySet is the vectorized semi-join build side: the distinct non-NULL keys
+// of one input in a single flat open-addressing table (linear probing,
+// power-of-two capacity sized for a load factor of at most 1/2), so neither
+// build nor probe allocates per key. Unlike the row-path types.KeySet it
+// never projects key rows. The table has two slot encodings:
+//
+//   - int mode, when the build key is one typed INTEGER view column: a slot
+//     holds math.Float64bits(float64(v)) and a hit is that word compared
+//     directly. This is the row path's match rule: types.Compare compares
+//     numbers as float64, so 2^53 and 2^53+1 are one key and INTEGER 1
+//     matches DOUBLE 1.0, while the float-equal values whose bits differ
+//     (DOUBLE -0.0 against 0) also hash differently, so the row path never
+//     matches them either.
+//   - general mode, for every other key shape: a slot holds the key's
+//     composite FNV hash and the build position, and a hash hit is
+//     rechecked with KeysEqual.
+//
+// A built set is read-only, so probes may run concurrently.
 type KeySet struct {
-	src     Key
-	buckets map[uint64][]int32
-	n       int
+	src   Key
+	ints  *Int64Column // the build column in int mode, nil in general mode
+	words []uint64     // float bits (int mode) or FNV hash (general mode)
+	pos   []int32      // build position + 1; 0 marks an empty slot
+	shift uint
+	n     int
 }
 
-// NewKeySet returns an empty set over src's keys.
-func NewKeySet(src Key) *KeySet {
-	return &KeySet{src: src, buckets: make(map[uint64][]int32)}
-}
-
-// Add inserts logical row j's key; NULL keys are skipped, duplicates kept
-// once (collision buckets hold one position per distinct key).
-func (s *KeySet) Add(j int) {
-	if s.src.HasNull(j) {
-		return
+// BuildKeySet returns the set of src's distinct non-NULL keys.
+func BuildKeySet(src Key) *KeySet {
+	n := src.Len()
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
 	}
-	h := s.src.Hash(j)
-	for _, pos := range s.buckets[h] {
-		if KeysEqual(s.src, int(pos), s.src, j) {
+	s := &KeySet{
+		src:   src,
+		words: make([]uint64, 1<<bits),
+		pos:   make([]int32, 1<<bits),
+		shift: 64 - bits,
+	}
+	if src.view != nil && len(src.cols) == 1 {
+		s.ints, _ = src.view.Frame.cols[src.cols[0]].(*Int64Column)
+	}
+	for j := 0; j < n; j++ {
+		if s.ints != nil {
+			i := src.view.Index(j)
+			if !s.ints.Nulls.Get(i) {
+				s.insert(math.Float64bits(float64(s.ints.Vals[i])), j)
+			}
+		} else if !src.HasNull(j) {
+			s.insert(src.Hash(j), j)
+		}
+	}
+	return s
+}
+
+// slot returns the home slot of w (Fibonacci hashing: float bits of small
+// integers differ only in their high bits, so they must be mixed).
+func (s *KeySet) slot(w uint64) int {
+	return int((w * 0x9e3779b97f4a7c15) >> s.shift)
+}
+
+// insert adds build row j under word w unless an equal key is present.
+func (s *KeySet) insert(w uint64, j int) {
+	mask := len(s.pos) - 1
+	for i := s.slot(w); ; i = (i + 1) & mask {
+		p := s.pos[i]
+		if p == 0 {
+			s.words[i], s.pos[i] = w, int32(j+1)
+			s.n++
+			return
+		}
+		if s.words[i] == w && (s.ints != nil || KeysEqual(s.src, int(p-1), s.src, j)) {
 			return
 		}
 	}
-	s.buckets[h] = append(s.buckets[h], int32(j))
-	s.n++
 }
 
 // Contains reports whether probe row j's key is present. NULL keys never
 // match.
 func (s *KeySet) Contains(p Key, j int) bool {
-	if p.HasNull(j) {
-		return false
+	var w uint64
+	if s.ints != nil {
+		var ok bool
+		if w, ok = numericBits(p, j); !ok {
+			return false
+		}
+	} else {
+		if p.HasNull(j) {
+			return false
+		}
+		w = p.Hash(j)
 	}
-	h := p.Hash(j)
-	for _, pos := range s.buckets[h] {
-		if KeysEqual(s.src, int(pos), p, j) {
+	mask := len(s.pos) - 1
+	for i := s.slot(w); ; i = (i + 1) & mask {
+		q := s.pos[i]
+		if q == 0 {
+			return false
+		}
+		if s.words[i] == w && (s.ints != nil || KeysEqual(s.src, int(q-1), p, j)) {
 			return true
 		}
 	}
-	return false
+}
+
+// numericBits returns the float bits of single-column probe key j, or false
+// when the key is NULL or not a number (TEXT and BOOLEAN never equal an
+// INTEGER under types.Compare).
+func numericBits(p Key, j int) (uint64, bool) {
+	if p.view != nil {
+		if c, ok := p.view.Frame.cols[p.cols[0]].(*Int64Column); ok {
+			i := p.view.Index(j)
+			if c.Nulls.Get(i) {
+				return 0, false
+			}
+			return math.Float64bits(float64(c.Vals[i])), true
+		}
+	}
+	switch v := p.value(j, 0); v.Kind() {
+	case types.KindInt, types.KindFloat:
+		return math.Float64bits(v.Float()), true
+	}
+	return 0, false
 }
 
 // Len returns the number of distinct keys.

@@ -26,11 +26,15 @@ const (
 	// relation, so weak cuts cost more than they save.
 	sipMaxKeepFrac = 0.6
 	// bloomMinTargetRows and bloomMaxSel gate the adaptive Bloom prefilter.
-	// A Bloom probe costs about as much as the exact KeySet probe it fronts,
-	// so the pass only pays when it empties most of a probe side too large
-	// for the exact build to stay cache-resident — hence the aggressive
-	// cardinality and selectivity bars. (Benchmarks at JOB scale 0.1 showed
-	// a 6.5k-row drop via Bloom still losing to the exact pass alone.)
+	// They were calibrated against the earlier map-based exact key set,
+	// whose probe cost about as much as a Bloom probe: the pass paid only
+	// when it emptied most of a probe side too large for the exact build to
+	// stay cache-resident, hence the aggressive cardinality and selectivity
+	// bars. (Benchmarks at JOB scale 0.1 showed a 6.5k-row drop via Bloom
+	// still losing to the exact pass alone.) The flat colstore.KeySet made
+	// the exact probe much cheaper, so a Bloom pass pays off even more
+	// rarely than these gates assume. They are left as calibrated:
+	// cost-based planning is off by default and unmeasured since.
 	bloomMinTargetRows = 32768
 	bloomMaxSel        = 0.15
 	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost-based plan

@@ -223,6 +223,16 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: post-join %q: %v", trial, sql, err)
 		}
+		// The late-materialized post-join must equal the materializing
+		// JoinAll + Project in rows and row order, not just as a set.
+		joined, err := engine.JoinAll(spec.JoinPreds, rp)
+		if err != nil {
+			t.Fatalf("trial %d: JoinAll %q: %v", trial, sql, err)
+		}
+		if want := projectAttrs(t, joined, spec.Projection); !sameRowsInOrder(post, want) {
+			t.Fatalf("trial %d: %q: post-join differs from JoinAll + Project:\npost: %v\nwant: %v",
+				trial, sql, post.Rows, want.Rows)
+		}
 		// Bag semantics caveat: deduplicating the reduced relations can
 		// change result multiplicities only if a base relation held exact
 		// duplicate A_i* tuples — impossible here because id is unique and
@@ -233,6 +243,40 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 				trial, sql, renderSorted(post.Distinct()), renderSorted(orig.Distinct()))
 		}
 	}
+}
+
+// projectAttrs is Project onto the named attributes.
+func projectAttrs(t *testing.T, rel *engine.Relation, attrs []engine.Attr) *engine.Relation {
+	t.Helper()
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		idx, err := rel.ColIndex(a.Rel, a.Col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = idx
+	}
+	return rel.Project(cols)
+}
+
+// sameRowsInOrder is exact equality: same columns, and row i of a has the
+// kinds and values of row i of b.
+func sameRowsInOrder(a, b *engine.Relation) bool {
+	if fmt.Sprint(a.Cols) != fmt.Sprint(b.Cols) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for c := range a.Rows[i] {
+			x, y := a.Rows[i][c], b.Rows[i][c]
+			if x.Kind() != y.Kind() || !types.Equal(x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func sameRelationSet(a, b *engine.Relation) bool {

@@ -190,24 +190,12 @@ func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec boo
 // PostJoin reconstructs the single-table result from a relationship-
 // preserving subdatabase (Definition 2.3): join the reduced relations on the
 // original join predicates and project to the original attributes. Filters
-// are not re-applied — the reduced relations already satisfy them.
+// are not re-applied — the reduced relations already satisfy them. The join
+// runs late-materialized (engine.JoinAllProject): it carries row positions
+// through every step and builds only the projected columns, once, with
+// exactly the rows and row order of engine.JoinAll followed by Project.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	joined, err := engine.JoinAll(preds, rels)
-	if err != nil {
-		return nil, err
-	}
-	if projection == nil {
-		return joined, nil
-	}
-	cols := make([]int, len(projection))
-	for i, a := range projection {
-		idx, err := joined.ColIndex(a.Rel, a.Col)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = idx
-	}
-	return joined.Project(cols), nil
+	return engine.JoinAllProject(preds, rels, projection)
 }
 
 // RelationshipPreservingAttrs returns A_i* = A_i ∪ A_i^J of Definition 2.3

@@ -569,14 +569,13 @@ type Stats struct {
 	Parallelism int
 }
 
-// String summarizes the stats on one line.
+// String summarizes the stats on one line. It is deterministic for a
+// deterministic plan, so it leaves out Parallelism, which varies with the
+// host: traces report the degree in their strippable bracket instead.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "root=%s semijoins=%d skipped=%d dropped=%d folds=%d",
 		s.Root, s.SemiJoins, s.SkippedSemiJoins, s.TuplesDropped, s.Folds)
-	if s.Parallelism > 1 {
-		fmt.Fprintf(&b, " par=%d", s.Parallelism)
-	}
 	if s.Cyclic {
 		b.WriteString(" cyclic")
 	}

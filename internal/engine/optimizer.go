@@ -58,7 +58,7 @@ type optimizer struct {
 	// par is the degree of parallelism for executing the chosen plan.
 	par int
 	// tr records one span per executed plan join (nil = disabled).
-	tr *trace.Tracer
+	tr      *trace.Tracer
 	aliases []string // index -> alias (lower-cased), deterministic order
 	base    []*Relation
 	preds   []JoinPred

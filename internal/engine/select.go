@@ -167,8 +167,9 @@ func projectionLabel(spec *SPJSpec) string {
 // whose endpoints are already joined are applied inside the same step via
 // composite keys, so every equi predicate is enforced exactly once.
 //
-// rels is keyed by lower-cased alias. It is also the post-join operator of
-// the paper (Section 6.4): internal/core hands it the reduced relations.
+// rels is keyed by lower-cased alias. The paper's post-join (Section 6.4)
+// runs the same join late-materialized (JoinAllProject); this materializing
+// form is the reference its differential tests compare against.
 func JoinAll(preds []JoinPred, rels map[string]*Relation) (*Relation, error) {
 	return joinAll(preds, rels, 0, nil)
 }
@@ -181,6 +182,27 @@ func JoinAllDegree(preds []JoinPred, rels map[string]*Relation, par int) (*Relat
 }
 
 func joinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
+	order := joinOrder(preds, rels)
+	if len(order) == 0 {
+		return nil, nil
+	}
+	cur := rels[order[0]]
+	inSet := map[string]bool{order[0]: true}
+	for _, next := range order[1:] {
+		var err error
+		cur, err = joinStep(cur, inSet, next, rels[next], preds, par, tr, 0)
+		if err != nil {
+			return nil, err
+		}
+		inSet[next] = true
+	}
+	return cur, nil
+}
+
+// joinOrder returns JoinAll's join order over rels' aliases. It depends only
+// on the predicates and the input cardinalities, never on intermediate
+// results, which is what lets JoinAllProject replay it on row positions.
+func joinOrder(preds []JoinPred, rels map[string]*Relation) []string {
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v
@@ -197,8 +219,11 @@ func joinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 			curAlias = alias
 		}
 	}
-	cur := remaining[curAlias]
+	if curAlias == "" {
+		return nil
+	}
 	delete(remaining, curAlias)
+	order := []string{curAlias}
 	inSet := map[string]bool{curAlias: true}
 
 	connected := func(alias string) bool {
@@ -230,16 +255,11 @@ func joinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 				next = alias
 			}
 		}
-		nrel := remaining[next]
 		delete(remaining, next)
-		var err error
-		cur, err = joinStep(cur, inSet, next, nrel, preds, par, tr, 0)
-		if err != nil {
-			return nil, err
-		}
+		order = append(order, next)
 		inSet[next] = true
 	}
-	return cur, nil
+	return order
 }
 
 // joinStep joins `next` into the current intermediate result, applying every
@@ -247,31 +267,8 @@ func joinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 // included, via composite keys). estOut, when non-zero, is the planner's
 // estimated output cardinality, recorded in the span's strippable bracket.
 func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation, preds []JoinPred, par int, tr *trace.Tracer, estOut int) (*Relation, error) {
-	// Gather every join predicate between `next` and the joined set.
-	var lCols, rCols []int
-	for _, j := range preds {
-		l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
-		var side JoinPred
-		switch {
-		case inSet[l] && r == next:
-			side = j
-		case inSet[r] && l == next:
-			side = j.Reverse()
-		default:
-			continue
-		}
-		li, err := cur.ColIndex(side.LeftRel, side.LeftCol)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := nrel.ColIndex(side.RightRel, side.RightCol)
-		if err != nil {
-			return nil, err
-		}
-		lCols = append(lCols, li)
-		rCols = append(rCols, ri)
-	}
-	if err := crossCheck(lCols, rCols); err != nil {
+	lCols, rCols, err := stepKeys(cur.Cols, inSet, next, nrel, preds)
+	if err != nil {
 		return nil, err
 	}
 	before := len(cur.Rows)
@@ -294,6 +291,35 @@ func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation,
 		tr.AddRowsJoined(len(cur.Rows))
 	}
 	return cur, nil
+}
+
+// stepKeys returns the key positions of every join predicate between `next`
+// and the joined set: lCols in the joined schema, rCols in nrel.
+func stepKeys(joined []ColRef, inSet map[string]bool, next string, nrel *Relation, preds []JoinPred) (lCols, rCols []int, err error) {
+	cur := &Relation{Cols: joined}
+	for _, j := range preds {
+		l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
+		var side JoinPred
+		switch {
+		case inSet[l] && r == next:
+			side = j
+		case inSet[r] && l == next:
+			side = j.Reverse()
+		default:
+			continue
+		}
+		li, err := cur.ColIndex(side.LeftRel, side.LeftCol)
+		if err != nil {
+			return nil, nil, err
+		}
+		ri, err := nrel.ColIndex(side.RightRel, side.RightCol)
+		if err != nil {
+			return nil, nil, err
+		}
+		lCols = append(lCols, li)
+		rCols = append(rCols, ri)
+	}
+	return lCols, rCols, crossCheck(lCols, rCols)
 }
 
 // BaseRelations scans every relation of an analyzed query with its

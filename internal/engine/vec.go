@@ -422,11 +422,11 @@ func SemiJoinVec(l *Relation, lCols []int, r *Relation, rCols []int, par int) *R
 }
 
 // SemiJoinVecSpan is the vectorized l ⋉ r: the build side's distinct keys go
-// into a position-based key set (no per-row key projection, dictionary-hash
-// text keys), the probe emits a selection vector, and only the surviving rows
-// are gathered. Either side may be columnar or row-major; the result carries
-// l's view narrowed to the survivors when l was columnar. Bit-identical to
-// SemiJoinSpan.
+// into a flat colstore.KeySet (no per-key allocation; float-bit INTEGER keys,
+// dictionary-hash text keys), the probe emits a selection vector, and only
+// the surviving rows are gathered. Either side may be columnar or row-major;
+// the result carries l's view narrowed to the survivors when l was columnar.
+// Bit-identical to SemiJoinSpan.
 func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
@@ -435,11 +435,7 @@ func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int
 		sp.Morsels = parallel.Chunks(len(l.Rows), par)
 		t0 = time.Now()
 	}
-	build := KeyFor(r, rCols)
-	keys := colstore.NewKeySet(build)
-	for j, n := 0, build.Len(); j < n; j++ {
-		keys.Add(j)
-	}
+	keys := colstore.BuildKeySet(KeyFor(r, rCols))
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()

@@ -119,12 +119,12 @@ func trimFloat(f float64) string {
 
 // colAcc accumulates one column's statistics during the single build pass.
 type colAcc struct {
-	nulls   int
-	sk      sketch
-	numeric bool
-	hasRange bool
+	nulls      int
+	sk         sketch
+	numeric    bool
+	hasRange   bool
 	minF, maxF float64
-	vals    []float64 // histogram sample (numeric, non-NaN)
+	vals       []float64 // histogram sample (numeric, non-NaN)
 }
 
 // FromTable builds fresh statistics for t in a single pass over its rows.

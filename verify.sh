@@ -1,9 +1,11 @@
 #!/bin/sh
 # verify.sh — repo verification gate.
 #
-# Runs static checks, a full build, the complete test suite (which includes
-# the cache differential gate: cold/warm/post-DML executions byte-identical
-# to an uncached oracle across JOB, star, and hierarchy), the race detector
+# Runs static checks (gofmt, vet), a full build, the complete test suite
+# (which includes the cache differential gate: cold/warm/post-DML executions
+# byte-identical to an uncached oracle across JOB, star, and hierarchy), an
+# uncached rerun at GOMAXPROCS=1 and 4 of the packages whose goldens must not
+# depend on the host's CPU count, the race detector
 # over the concurrency-sensitive packages (the morsel-parallel execution
 # layer, the columnar store, their consumers, the tracer, the result cache,
 # and the wire server/client stress tests), the vectorized differential gate
@@ -21,10 +23,19 @@
 # uncrashed oracle with prefix consistency: acked commits never lost,
 # unacked tail droppable, nothing half-applied), a short fuzzing pass over
 # the byte-hostile surfaces (SQL text in, wire bytes in, fault plans in,
-# WAL segments in, snapshots in), and the tracer overhead guard.
+# WAL segments in, snapshots in, histogram inputs, semi-join key sets), and
+# the tracer overhead guard.
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "FAIL: files not gofmt-clean:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -34,6 +45,13 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== determinism across CPU counts (db, core, trace, wire at GOMAXPROCS=1 and 4, uncached)"
+# go test's result cache does not key on GOMAXPROCS, so -count=1 is required:
+# a cached single-CPU pass would hide a host-dependent golden.
+for procs in 1 4; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/db ./internal/core ./internal/trace ./internal/wire
+done
 
 echo "== go test -race (parallel, colstore, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
 go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/engine \
@@ -90,6 +108,7 @@ go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz FuzzHistogramBuild -fuzztime 10s ./internal/stats
+go test -run '^$' -fuzz FuzzKeySet -fuzztime 10s ./internal/colstore
 
 echo "== tracer overhead guard"
 # The disabled (nil) tracer path is guarded structurally — it must not
