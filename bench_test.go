@@ -255,7 +255,7 @@ func BenchmarkDecompose16b(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Decompose(joined, spec.OutputRels()); err != nil {
+		if _, err := core.Decompose(joined, spec.OutputRels(), 0, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Package cache is the semantic query-result cache of the reproduction: a
 // zero-dependency (stdlib-only), generic, byte-budgeted LRU keyed by a
-// normalized statement fingerprint and guarded by per-table version counters.
+// normalized statement fingerprint and guarded by the version IDs of the
+// tables the statement reads.
 //
 // The design mirrors the paper's own argument one level up: SELECT RESULTDB
 // avoids recomputing and re-shipping redundant denormalized data *within* a
@@ -14,19 +15,29 @@
 //   - Keys are semantic fingerprints produced by the caller (internal/db uses
 //     the canonicalized AST rendering from internal/sqlparse), so whitespace,
 //     literal formatting, and identifier case do not fragment the cache.
-//   - Every entry records the set of base tables the statement reads and the
-//     version counter of each table at fill time. Any DML/DDL that touches a
-//     table bumps its counter (O(1)); a lookup compares the recorded versions
-//     against the current ones (O(#tables), a handful of integers), so a
-//     stale entry is never served — invalidation is lazy and constant-time,
-//     with no per-entry bookkeeping on the write path.
+//   - The caller owns version identity: every published table version carries
+//     one ID (internal/db uses the commit seq that published it), the IDs of
+//     a name only grow, and a table that does not exist has ID 0. The cache
+//     keeps no version counters of its own.
+//   - Every entry records the base tables the statement reads and the exact
+//     version vector it was computed at. Every lookup names the caller's
+//     snapshot versions: an entry is served only at exactly that vector, and
+//     an entry older than it is discarded on the spot and counted as an
+//     invalidation (O(#tables), a handful of integers). Invalidation is lazy,
+//     so the write path does no cache bookkeeping at all.
+//   - A fill is admitted only if the newest published versions of its tables
+//     (the latest function given to New) still equal the versions it was
+//     computed at. A fill that raced a writer is returned to its caller — it
+//     is correct for that snapshot — but never cached, so it can neither
+//     shadow nor be revived as a newer state.
 //   - Admission and eviction are cost-aware: each entry carries its measured
 //     wire-encoded byte size, the cache holds a configurable byte budget, and
 //     the least-recently-used entries are evicted until the new entry fits.
 //     Entries larger than the whole budget are simply not admitted.
-//   - Concurrent identical misses are collapsed by single-flight: the first
-//     caller computes, everyone else waits for that one execution and shares
-//     the value. A thundering herd of N identical queries costs one execution.
+//   - Concurrent identical misses on the same snapshot versions are collapsed
+//     by single-flight: the first caller computes, everyone else waits for
+//     that one execution and shares the value. A thundering herd of N
+//     identical queries costs one execution.
 //
 // The cache stores opaque values (instantiate Cache[V] with the result type);
 // callers must treat returned values as immutable shared snapshots.
@@ -72,7 +83,7 @@ type entry struct {
 	value  any
 	bytes  int64
 	tables []string // lowercased, sorted, deduplicated
-	vers   []uint64 // table versions at fill time, parallel to tables
+	vers   []uint64 // table version IDs at fill time, parallel to tables
 	elem   *list.Element
 }
 
@@ -91,7 +102,7 @@ type Cache[V any] struct {
 	bytes   int64
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
-	vers    map[string]uint64
+	latest  func(table string) uint64
 	flights map[string]*flight[V]
 
 	hits          uint64
@@ -101,13 +112,15 @@ type Cache[V any] struct {
 	collapsed     uint64
 }
 
-// New returns an empty cache with the given byte budget.
-func New[V any](budget int64) *Cache[V] {
+// New returns an empty cache with the given byte budget. latest reports the
+// version ID of the newest published version of a table (lower-cased name,
+// 0 if absent); the cache calls it, under its own lock, to admit fills.
+func New[V any](budget int64, latest func(table string) uint64) *Cache[V] {
 	return &Cache[V]{
 		budget:  budget,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
-		vers:    make(map[string]uint64),
+		latest:  latest,
 		flights: make(map[string]*flight[V]),
 	}
 }
@@ -147,35 +160,13 @@ func normTables(tables []string) []string {
 	return out[:j]
 }
 
-// Bump advances the version counter of each named table (case-insensitive),
-// making every cache entry that reads one of them stale. O(1) per table; the
-// entries themselves are discarded lazily on their next lookup or eviction.
-func (c *Cache[V]) Bump(tables ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range tables {
-		c.vers[strings.ToLower(t)]++
-	}
-}
-
-// Clear drops every entry (not the version counters, which must keep
-// monotonically increasing so pre-clear fills can never be revived).
+// Clear drops every entry.
 func (c *Cache[V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*entry)
 	c.lru.Init()
 	c.bytes = 0
-}
-
-// freshLocked reports whether e's recorded table versions still match.
-func (c *Cache[V]) freshLocked(e *entry) bool {
-	for i, t := range e.tables {
-		if c.vers[t] != e.vers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // removeLocked drops e from the map, the LRU list, and the byte accounting.
@@ -185,59 +176,31 @@ func (c *Cache[V]) removeLocked(e *entry) {
 	c.bytes -= e.bytes
 }
 
-// lookupLocked returns the live entry for key, discarding it (and counting an
-// invalidation) if stale. Does not touch hit/miss counters or LRU order.
-func (c *Cache[V]) lookupLocked(key string) *entry {
+// lookupLocked returns the entry for key if it was filled at exactly the
+// normalized tables norm and versions vers. An entry filled at an older
+// state is discarded and counted as an invalidation; one filled at a newer
+// state (the caller pinned an older snapshot) is left in place. Does not
+// touch hit/miss counters or LRU order.
+func (c *Cache[V]) lookupLocked(key string, norm []string, vers []uint64) *entry {
 	e, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
-	if !c.freshLocked(e) {
+	if matchesAt(e, norm, vers) {
+		return e
+	}
+	if olderThan(e, norm, vers) {
 		c.invalidations++
 		c.removeLocked(e)
-		return nil
 	}
-	return e
+	return nil
 }
 
-// Get returns the cached value for key if present and fresh, updating LRU
-// order and the hit/miss counters.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.lookupLocked(key); e != nil {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		return e.value.(V), true
-	}
-	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Peek reports whether key is present and fresh without counting a hit or a
-// miss and without touching LRU order (used by EXPLAIN ANALYZE to annotate
-// the plan without perturbing the cache).
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && c.freshLocked(e) {
-		return e.value.(V), true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put admits a value computed against the *current* table versions. Oversized
-// values (bytes > budget) are not admitted; otherwise LRU entries are evicted
-// until the value fits. A racing entry under the same key is replaced.
-func (c *Cache[V]) Put(key string, v V, bytes int64, tables []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, v, bytes, tables)
-}
-
-func (c *Cache[V]) putLocked(key string, v V, bytes int64, tables []string) {
+// putLocked admits a value computed at versions vers of the normalized
+// tables norm. Oversized values (bytes > budget) are not admitted; otherwise
+// LRU entries are evicted until the value fits. A racing entry under the
+// same key is replaced.
+func (c *Cache[V]) putLocked(key string, v V, bytes int64, norm []string, vers []uint64) {
 	if bytes > c.budget {
 		return
 	}
@@ -245,11 +208,7 @@ func (c *Cache[V]) putLocked(key string, v V, bytes int64, tables []string) {
 		c.removeLocked(old)
 	}
 	c.evictToFitLocked(bytes)
-	norm := normTables(tables)
-	e := &entry{key: key, value: v, bytes: bytes, tables: norm, vers: make([]uint64, len(norm))}
-	for i, t := range norm {
-		e.vers[i] = c.vers[t]
-	}
+	e := &entry{key: key, value: v, bytes: bytes, tables: norm, vers: vers}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += bytes
@@ -268,55 +227,17 @@ func (c *Cache[V]) evictToFitLocked(incoming int64) {
 	}
 }
 
-// Do is the single-flight read-through: it returns the cached value for key
-// if fresh (hit=true); otherwise it either joins an identical in-flight
-// computation (hit=true, counted as Collapsed) or runs compute itself,
-// admits the result with its reported byte cost, and returns it (hit=false).
-// Errors are returned to every waiter and never cached.
-//
-// compute runs without any cache lock held. The caller must guarantee that
-// the tables read by the computation cannot change between the version
-// capture at miss time and the completed computation (internal/db holds its
-// statement-level read lock across Do, which excludes all DML).
-func (c *Cache[V]) Do(key string, tables []string, compute func() (V, int64, error)) (V, bool, error) {
-	c.mu.Lock()
-	if e := c.lookupLocked(key); e != nil {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		v := e.value.(V)
-		c.mu.Unlock()
-		return v, true, nil
+// admissibleLocked reports whether versions vers of the normalized tables
+// norm are still the newest published ones, i.e. no writer published past
+// the caller's snapshot while it computed.
+func (c *Cache[V]) admissibleLocked(norm []string, vers []uint64) bool {
+	for i, t := range norm {
+		if c.latest(t) != vers[i] {
+			return false
+		}
 	}
-	if f, ok := c.flights[key]; ok {
-		c.collapsed++
-		c.mu.Unlock()
-		<-f.done
-		return f.val, true, f.err
-	}
-	c.misses++
-	f := &flight[V]{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	v, bytes, err := compute()
-	f.val, f.err = v, err
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if err == nil {
-		c.putLocked(key, v, bytes, tables)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return v, false, err
+	return true
 }
-
-// The *At variants below are the MVCC-aware surface used by internal/db's
-// lock-free read path. Plain Do/Put/Get assume the caller excludes writers
-// for the whole lookup-compute-fill window (the pre-MVCC discipline); the
-// *At variants instead key every step on an explicitly captured version
-// vector — the versions the caller's snapshot pins — so they stay correct
-// with writers bumping versions concurrently at any point.
 
 // versionsAt captures verOf over the normalized table list.
 func versionsAt(norm []string, verOf func(string) uint64) []uint64 {
@@ -356,15 +277,19 @@ func matchesAt(e *entry, norm []string, vers []uint64) bool {
 	return true
 }
 
-// currentLocked reports whether the captured versions are still the cache's
-// current ones — i.e. no writer bumped any of the tables since the capture.
-func (c *Cache[V]) currentLocked(norm []string, vers []uint64) bool {
-	for i, t := range norm {
-		if c.vers[t] != vers[i] {
-			return false
+// olderThan reports whether e (which does not match vers) was filled at an
+// older state than the one vers describes: one of its tables has since
+// published a newer version or been dropped (ID 0).
+func olderThan(e *entry, norm []string, vers []uint64) bool {
+	if len(e.tables) != len(norm) {
+		return true
+	}
+	for i, t := range e.tables {
+		if t != norm[i] || e.vers[i] < vers[i] || vers[i] == 0 && e.vers[i] != 0 {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // PeekAt reports whether key holds a value filled at exactly the versions
@@ -383,36 +308,38 @@ func (c *Cache[V]) PeekAt(key string, tables []string, verOf func(string) uint64
 }
 
 // PutAt admits a value computed against the versions verOf captures — but
-// only if those versions are still current, i.e. no writer published past
-// the caller's snapshot while the value was computed. A stale fill is
-// silently dropped: it is correct for its snapshot but must not shadow (or
-// be revived as) the newer state.
+// only if those versions are still the newest published ones, i.e. no writer
+// published past the caller's snapshot while the value was computed. A stale
+// fill is silently dropped: it is correct for its snapshot but must not
+// shadow (or be revived as) the newer state. Oversized values are not
+// admitted; otherwise LRU entries are evicted until the value fits.
 func (c *Cache[V]) PutAt(key string, v V, bytes int64, tables []string, verOf func(string) uint64) {
 	norm := normTables(tables)
 	vers := versionsAt(norm, verOf)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.currentLocked(norm, vers) {
-		return
+	if c.admissibleLocked(norm, vers) {
+		c.putLocked(key, v, bytes, norm, vers)
 	}
-	c.putLocked(key, v, bytes, tables)
 }
 
-// DoAt is the snapshot-pinned single-flight read-through: the MVCC analogue
-// of Do. The caller's computation runs against a pinned snapshot whose
-// per-table versions verOf reports; DoAt serves a cached value only when it
-// was filled at exactly those versions, collapses concurrent identical
-// misses only when they pinned the same versions, and admits the computed
-// fill only when the versions are still current at fill time (a fill that
-// raced a writer is returned to its caller but not cached). compute runs
-// without any cache lock held and needs no external synchronization — the
-// snapshot it reads is immutable.
+// DoAt is the snapshot-pinned single-flight read-through. The caller's
+// computation runs against a pinned snapshot whose per-table versions verOf
+// reports. DoAt serves a cached value (hit=true) only when it was filled at
+// exactly those versions; it collapses concurrent identical misses
+// (hit=true, counted as Collapsed) only when they pinned the same versions;
+// otherwise it runs compute and admits the fill with its reported byte cost
+// only when the versions are still the newest published ones at fill time (a
+// fill that raced a writer is returned to its caller but not cached). Errors
+// are returned to every waiter and never cached. compute runs without any
+// cache lock held and needs no external synchronization — the snapshot it
+// reads is immutable.
 func (c *Cache[V]) DoAt(key string, tables []string, verOf func(string) uint64, compute func() (V, int64, error)) (V, bool, error) {
 	norm := normTables(tables)
 	vers := versionsAt(norm, verOf)
 	fkey := flightKeyAt(key, vers)
 	c.mu.Lock()
-	if e := c.lookupLocked(key); e != nil && matchesAt(e, norm, vers) {
+	if e := c.lookupLocked(key, norm, vers); e != nil {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
 		v := e.value.(V)
@@ -435,8 +362,8 @@ func (c *Cache[V]) DoAt(key string, tables []string, verOf func(string) uint64, 
 
 	c.mu.Lock()
 	delete(c.flights, fkey)
-	if err == nil && c.currentLocked(norm, vers) {
-		c.putLocked(key, v, bytes, tables)
+	if err == nil && c.admissibleLocked(norm, vers) {
+		c.putLocked(key, v, bytes, norm, vers)
 	}
 	c.mu.Unlock()
 	close(f.done)

@@ -4,18 +4,74 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// world stands in for the database that owns version identity: one version
+// ID per table (0 = never published), every publish stamping the touched
+// tables with the next commit number. Its latest method is the cache's view
+// of the newest published versions.
+type world struct {
+	mu  sync.Mutex
+	seq uint64
+	ids map[string]uint64
+}
+
+func (w *world) latest(table string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ids[table]
+}
+
+// publish commits new versions of the named tables (case-insensitive).
+func (w *world) publish(tables ...string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.seq++
+	for _, t := range tables {
+		w.ids[strings.ToLower(t)] = w.seq
+	}
+}
+
+func newCache[V any](budget int64) (*Cache[V], *world) {
+	w := &world{ids: make(map[string]uint64)}
+	return New[V](budget, w.latest), w
+}
+
+var errMiss = errors.New("miss")
+
+// get looks key up at the newest versions without filling on a miss: a
+// DoAt whose computation fails, so a miss is counted and nothing admitted.
+func get[V any](c *Cache[V], w *world, key string, tables []string) (V, bool) {
+	v, hit, err := c.DoAt(key, tables, w.latest, func() (V, int64, error) {
+		var zero V
+		return zero, 0, errMiss
+	})
+	return v, hit && err == nil
+}
+
+// put admits v as computed at the newest versions.
+func put[V any](c *Cache[V], w *world, key string, v V, bytes int64, tables []string) {
+	c.PutAt(key, v, bytes, tables, w.latest)
+}
+
+// peek reports whether key holds a value at the newest versions, without
+// touching counters or LRU order.
+func peek[V any](c *Cache[V], w *world, key string, tables []string) bool {
+	_, ok := c.PeekAt(key, tables, w.latest)
+	return ok
+}
+
 func TestGetPutHitMiss(t *testing.T) {
-	c := New[string](1 << 20)
-	if _, ok := c.Get("k"); ok {
+	c, w := newCache[string](1 << 20)
+	if _, ok := get(c, w, "k", []string{"T1", "t2"}); ok {
 		t.Fatal("empty cache should miss")
 	}
-	c.Put("k", "v", 10, []string{"T1", "t2"})
-	v, ok := c.Get("k")
+	put(c, w, "k", "v", 10, []string{"T1", "t2"})
+	v, ok := get(c, w, "k", []string{"T1", "t2"})
 	if !ok || v != "v" {
 		t.Fatalf("want hit with v, got %q ok=%v", v, ok)
 	}
@@ -26,19 +82,19 @@ func TestGetPutHitMiss(t *testing.T) {
 }
 
 func TestVersionInvalidation(t *testing.T) {
-	c := New[int](1 << 20)
-	c.Put("q", 7, 1, []string{"movies", "cast"})
+	c, w := newCache[int](1 << 20)
+	put(c, w, "q", 7, 1, []string{"movies", "cast"})
 
-	// Bumping an unrelated table must not invalidate.
-	c.Bump("other")
-	if _, ok := c.Get("q"); !ok {
-		t.Fatal("bump of unrelated table invalidated entry")
+	// Publishing an unrelated table must not invalidate.
+	w.publish("other")
+	if _, ok := get(c, w, "q", []string{"movies", "cast"}); !ok {
+		t.Fatal("publish of unrelated table invalidated entry")
 	}
 
-	// Case-insensitive bump of a referenced table invalidates.
-	c.Bump("MOVIES")
-	if _, ok := c.Get("q"); ok {
-		t.Fatal("stale entry served after bump")
+	// Case-insensitive publish of a referenced table invalidates.
+	w.publish("MOVIES")
+	if _, ok := get(c, w, "q", []string{"movies", "cast"}); ok {
+		t.Fatal("stale entry served after publish")
 	}
 	st := c.Stats()
 	if st.Invalidations != 1 {
@@ -50,32 +106,32 @@ func TestVersionInvalidation(t *testing.T) {
 }
 
 func TestBumpBetweenPutAndGet(t *testing.T) {
-	// A Put that races behind a Bump must come back fresh: Put records the
-	// *current* versions.
-	c := New[int](1 << 20)
-	c.Bump("t")
-	c.Put("q", 1, 1, []string{"t"})
-	if _, ok := c.Get("q"); !ok {
-		t.Fatal("entry filled after bump should be fresh")
+	// A fill that lands after a publish must come back fresh: it records the
+	// versions it was computed at, which are the newest ones.
+	c, w := newCache[int](1 << 20)
+	w.publish("t")
+	put(c, w, "q", 1, 1, []string{"t"})
+	if _, ok := get(c, w, "q", []string{"t"}); !ok {
+		t.Fatal("entry filled after publish should be fresh")
 	}
 }
 
 func TestCostAwareLRUEviction(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 40, []string{"t"})
-	c.Put("b", 2, 40, []string{"t"})
+	c, w := newCache[int](100)
+	put(c, w, "a", 1, 40, []string{"t"})
+	put(c, w, "b", 2, 40, []string{"t"})
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, w, "a", []string{"t"}); !ok {
 		t.Fatal("a should be present")
 	}
-	c.Put("c", 3, 40, []string{"t"})
-	if _, ok := c.Peek("b"); ok {
+	put(c, w, "c", 3, 40, []string{"t"})
+	if peek(c, w, "b", []string{"t"}) {
 		t.Fatal("LRU entry b should have been evicted")
 	}
-	if _, ok := c.Peek("a"); !ok {
+	if !peek(c, w, "a", []string{"t"}) {
 		t.Fatal("recently used entry a should survive")
 	}
-	if _, ok := c.Peek("c"); !ok {
+	if !peek(c, w, "c", []string{"t"}) {
 		t.Fatal("new entry c should be admitted")
 	}
 	st := c.Stats()
@@ -85,13 +141,13 @@ func TestCostAwareLRUEviction(t *testing.T) {
 }
 
 func TestOversizedNotAdmitted(t *testing.T) {
-	c := New[int](100)
-	c.Put("small", 1, 10, []string{"t"})
-	c.Put("huge", 2, 101, []string{"t"})
-	if _, ok := c.Peek("huge"); ok {
+	c, w := newCache[int](100)
+	put(c, w, "small", 1, 10, []string{"t"})
+	put(c, w, "huge", 2, 101, []string{"t"})
+	if peek(c, w, "huge", []string{"t"}) {
 		t.Fatal("oversized entry admitted")
 	}
-	if _, ok := c.Peek("small"); !ok {
+	if !peek(c, w, "small", []string{"t"}) {
 		t.Fatal("oversized put evicted unrelated entries")
 	}
 	if st := c.Stats(); st.Evictions != 0 {
@@ -100,9 +156,9 @@ func TestOversizedNotAdmitted(t *testing.T) {
 }
 
 func TestSetBudgetShrinkEvicts(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 40, []string{"t"})
-	c.Put("b", 2, 40, []string{"t"})
+	c, w := newCache[int](100)
+	put(c, w, "a", 1, 40, []string{"t"})
+	put(c, w, "b", 2, 40, []string{"t"})
 	c.SetBudget(50)
 	st := c.Stats()
 	if st.Bytes > 50 || st.Entries != 1 {
@@ -111,32 +167,32 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 10, []string{"t"})
+	c, w := newCache[int](100)
+	put(c, w, "a", 1, 10, []string{"t"})
 	c.Clear()
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("clear left entries: %+v", st)
 	}
-	// Version counters survive a clear.
-	c.Bump("t")
-	c.Put("a", 1, 10, []string{"t"})
-	if _, ok := c.Get("a"); !ok {
+	// Fills after a clear are admitted and served.
+	w.publish("t")
+	put(c, w, "a", 1, 10, []string{"t"})
+	if _, ok := get(c, w, "a", []string{"t"}); !ok {
 		t.Fatal("post-clear put should be fresh")
 	}
 }
 
 func TestDoComputesOnceAndCaches(t *testing.T) {
-	c := New[string](1 << 20)
+	c, w := newCache[string](1 << 20)
 	calls := 0
 	compute := func() (string, int64, error) {
 		calls++
 		return "r", 5, nil
 	}
-	v, hit, err := c.Do("k", []string{"t"}, compute)
+	v, hit, err := c.DoAt("k", []string{"t"}, w.latest, compute)
 	if err != nil || hit || v != "r" {
 		t.Fatalf("first Do: v=%q hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.Do("k", []string{"t"}, compute)
+	v, hit, err = c.DoAt("k", []string{"t"}, w.latest, compute)
 	if err != nil || !hit || v != "r" {
 		t.Fatalf("second Do: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -146,9 +202,9 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 }
 
 func TestDoErrorNotCached(t *testing.T) {
-	c := New[string](1 << 20)
+	c, w := newCache[string](1 << 20)
 	boom := errors.New("boom")
-	_, _, err := c.Do("k", []string{"t"}, func() (string, int64, error) { return "", 0, boom })
+	_, _, err := c.DoAt("k", []string{"t"}, w.latest, func() (string, int64, error) { return "", 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -156,14 +212,14 @@ func TestDoErrorNotCached(t *testing.T) {
 		t.Fatalf("error result cached: %+v", st)
 	}
 	// Next Do recomputes.
-	v, hit, err := c.Do("k", []string{"t"}, func() (string, int64, error) { return "ok", 1, nil })
+	v, hit, err := c.DoAt("k", []string{"t"}, w.latest, func() (string, int64, error) { return "ok", 1, nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("recompute after error: v=%q hit=%v err=%v", v, hit, err)
 	}
 }
 
 func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
-	c := New[int](1 << 20)
+	c, w := newCache[int](1 << 20)
 	const n = 32
 	var calls atomic.Int64
 	var wg sync.WaitGroup
@@ -172,7 +228,7 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("k", []string{"t"}, func() (int, int64, error) {
+			v, _, err := c.DoAt("k", []string{"t"}, w.latest, func() (int, int64, error) {
 				calls.Add(1)
 				// Hold the flight open until all other callers have joined
 				// it, so every one of them is provably collapsed (followers
@@ -204,10 +260,10 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 }
 
 func TestConcurrentMixedUse(t *testing.T) {
-	// Hammer the cache from many goroutines mixing Do, Get, Bump, Stats and
-	// SetBudget; the race detector (verify.sh runs this package under -race)
+	// Hammer the cache from many goroutines mixing fills, lookups,
+	// publishes and Stats; the race detector (verify.sh runs this package under -race)
 	// is the assertion.
-	c := New[int](1 << 12)
+	c, w := newCache[int](1 << 12)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -217,13 +273,13 @@ func TestConcurrentMixedUse(t *testing.T) {
 				key := fmt.Sprintf("q%d", i%7)
 				switch i % 5 {
 				case 0:
-					c.Bump(fmt.Sprintf("t%d", i%3))
+					w.publish(fmt.Sprintf("t%d", i%3))
 				case 1:
-					c.Get(key)
+					get(c, w, key, []string{"t0", "t1"})
 				case 2:
 					c.Stats()
 				default:
-					c.Do(key, []string{"t0", "t1"}, func() (int, int64, error) {
+					c.DoAt(key, []string{"t0", "t1"}, w.latest, func() (int, int64, error) {
 						return g*1000 + i, 64, nil
 					})
 				}

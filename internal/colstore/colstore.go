@@ -22,9 +22,8 @@
 //     are plain slices; the dictionary is a first-occurrence-ordered string
 //     table with per-entry precomputed hashes.
 //
-// Frames are built lazily from storage.Table rows and cached alongside the
-// table's hash indexes, invalidated by the same generation counter (see
-// storage.Table.Columns).
+// Frames are built lazily from storage.Table rows and cached on the table
+// (see storage.Table.Columns).
 //
 // Under the MVCC regime a frame belongs to exactly one published table
 // version: versions are immutable once visible, so a frame, once built, is

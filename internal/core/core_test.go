@@ -304,7 +304,7 @@ func assertReduceMatchesDecompose(t *testing.T, src engine.Source, sql string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Decompose(joined, spec.OutputRels())
+	oracle, err := Decompose(joined, spec.OutputRels(), 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRelationshipPreservingAttrs(t *testing.T) {
 
 func TestDecomposeErrors(t *testing.T) {
 	rel := &engine.Relation{Cols: []engine.ColRef{{Rel: "a", Name: "x"}}}
-	if _, err := Decompose(rel, []string{"missing"}); err == nil {
+	if _, err := Decompose(rel, []string{"missing"}, 0, false, nil); err == nil {
 		t.Error("Decompose with unknown alias should fail")
 	}
 }

@@ -127,12 +127,12 @@ func TestDecomposeParMatchesSerial(t *testing.T) {
 		})
 	}
 	aliases := []string{"x", "y", "z"}
-	want, err := DecomposePar(joined, aliases, 1)
+	want, err := Decompose(joined, aliases, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 7} {
-		got, err := DecomposePar(joined, aliases, par)
+		got, err := Decompose(joined, aliases, par, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDecomposeParMatchesSerial(t *testing.T) {
 		}
 	}
 	// Unknown alias must surface the same error at any degree.
-	if _, err := DecomposePar(joined, []string{"nope"}, 4); err == nil {
+	if _, err := Decompose(joined, []string{"nope"}, 4, false, nil); err == nil {
 		t.Fatal("expected error for unknown alias")
 	}
 }

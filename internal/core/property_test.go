@@ -137,7 +137,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ST %q: %v", trial, sql, err)
 		}
-		oracle, err := Decompose(joined, spec.OutputRels())
+		oracle, err := Decompose(joined, spec.OutputRels(), 0, false, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decompose: %v", trial, err)
 		}

@@ -110,36 +110,17 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 // for SemiJoinReduce (Theorem 4.4).
 //
 // joined must carry alias-qualified columns for every alias in aliases
-// (engine.Executor.RunSPJ produces exactly that).
-func Decompose(joined *engine.Relation, aliases []string) (map[string]*engine.Relation, error) {
-	return DecomposePar(joined, aliases, 0)
-}
-
-// DecomposePar is Decompose at an explicit degree of parallelism (0 = auto,
-// 1 = serial). The per-relation project+dedup steps are independent, so they
-// run concurrently across aliases; each step's own project/dedup work is also
-// chunked at the same degree. Results are identical at any degree.
-func DecomposePar(joined *engine.Relation, aliases []string, par int) (map[string]*engine.Relation, error) {
-	return DecomposeTraced(joined, aliases, par, nil)
-}
-
-// DecomposeTraced is DecomposePar recording one span per decomposed relation
-// (rows before projection, rows after dedup). Spans are registered after the
-// parallel fan-out completes, in alias order, so the trace is deterministic
-// at any degree; tr may be nil.
-func DecomposeTraced(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
-	return decomposeTraced(joined, aliases, par, false, tr)
-}
-
-// DecomposeVecTraced is DecomposeTraced on the columnar path: the join result
-// is columnarized once (shared across aliases) and each per-alias dedup runs
-// on column-data key hashes, materializing only the surviving rows. Output is
-// bit-identical to DecomposeTraced.
-func DecomposeVecTraced(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
-	return decomposeTraced(joined, aliases, par, true, tr)
-}
-
-func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec bool, tr *trace.Tracer) (map[string]*engine.Relation, error) {
+// (engine.Executor.RunSPJ produces exactly that). The per-relation
+// project+dedup steps are independent, so they run concurrently across
+// aliases at degree par (0 = auto, 1 = serial); each step's own
+// project/dedup work is also chunked at the same degree. With vec the join
+// result is columnarized once (shared across aliases) and each per-alias
+// dedup runs on column-data key hashes, materializing only the surviving
+// rows. Results are bit-identical at any degree and on either path. tr, which
+// may be nil, gets one span per decomposed relation (rows before projection,
+// rows after dedup), registered in alias order after the fan-out completes,
+// so the trace is deterministic at any degree.
+func Decompose(joined *engine.Relation, aliases []string, par int, vec bool, tr *trace.Tracer) (map[string]*engine.Relation, error) {
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now()

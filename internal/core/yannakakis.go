@@ -514,7 +514,7 @@ type Options struct {
 	// variable ("on"/"off") overrides it at db.New time.
 	CostBased bool
 	// TableStats maps lower-cased relation aliases to their base tables'
-	// statistics (built lazily by internal/db's generation-tagged cache).
+	// statistics (built lazily by internal/db's version-keyed cache).
 	// Consulted only when CostBased is set.
 	TableStats map[string]*stats.Table
 	// AlphaReduce drops join-graph edges whose predicates are implied by
@@ -561,7 +561,7 @@ type Stats struct {
 	// bottom-up pass, a range pre-filter that dropped rows, or an adaptive
 	// Bloom pass that dropped rows. When false, the run was operationally
 	// identical to the heuristic plan, so re-running the same query at the
-	// same table generations can skip the statistics machinery entirely
+	// same table versions can skip the statistics machinery entirely
 	// (the database layer caches this verdict per query).
 	PlanDiverged bool
 	// Parallelism records the effective degree of parallelism used

@@ -53,7 +53,8 @@ func renderCell(v types.Value) string {
 	return v.String()
 }
 
-// Load creates table name in d from the CSV stream and inserts every row.
+// Load builds table name from the CSV stream and publishes it in d once
+// every row is in; a malformed stream publishes nothing.
 // The header defines the schema; the first column is used as the primary
 // key when its name is "id" (the convention of the bundled workloads).
 func Load(d *db.Database, name string, r io.Reader) (int, error) {
@@ -78,15 +79,12 @@ func Load(d *db.Database, name string, r io.Reader) (int, error) {
 	if strings.EqualFold(cols[0].Name, "id") {
 		def.PrimaryKey = []string{cols[0].Name}
 	}
-	tab, err := d.CreateTable(def)
-	if err != nil {
-		return 0, err
-	}
+	tab := storage.NewTable(def)
 	n := 0
 	for {
 		record, err := cr.Read()
 		if err == io.EOF {
-			return n, nil
+			return n, d.CreateTables(tab)
 		}
 		if err != nil {
 			return n, fmt.Errorf("csvio: record %d: %w", n+1, err)

@@ -50,8 +50,7 @@ func (d *Database) CacheStats() cache.Stats {
 	return d.resultCache.Stats()
 }
 
-// ClearCache drops every cached result (version counters are preserved, so
-// pre-clear computations can never be revived stale).
+// ClearCache drops every cached result.
 func (d *Database) ClearCache() {
 	d.resultCache.Clear()
 }
@@ -121,9 +120,10 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 //     they pinned the same versions (the single-flight key includes the
 //     version fingerprint), so a reader before and a reader after a commit
 //     never share a computation.
-//   - A computed fill is admitted only if the tables' versions are still
-//     current at fill time; a fill that raced a writer is returned to its
-//     caller (correct for its snapshot) but not cached.
+//   - A computed fill is admitted only if the tables' versions are still the
+//     newest published ones at fill time (the cache asks d.state); a fill
+//     that raced a writer is returned to its caller (correct for its
+//     snapshot) but not cached.
 //
 // Cached *Result values are shared snapshots: callers must not mutate them
 // (the repo's surfaces — shell printing, wire encoding, PostJoin — only
@@ -131,7 +131,7 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (*Result, error) {
 	key := cacheKey(ec, sel)
 	tables := sqlparse.Tables(sel)
-	res, _, err := d.resultCache.DoAt(key, tables, ec.snap.versionOf, func() (*Result, int64, error) {
+	res, _, err := d.resultCache.DoAt(key, tables, ec.snap.st.versionOf, func() (*Result, int64, error) {
 		r, err := d.queryUncached(ec, sel, nil)
 		if err != nil {
 			return nil, 0, err

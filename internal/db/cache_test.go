@@ -328,12 +328,12 @@ func TestCacheSingleFlightUnderConcurrency(t *testing.T) {
 func TestCacheParallelismSharesEntries(t *testing.T) {
 	d := cacheTestDB(t)
 	q := "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id"
-	d.SetParallelism(1)
+	d.CoreOptions.Parallelism = 1
 	r1, err := d.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetParallelism(4)
+	d.CoreOptions.Parallelism = 4
 	r2, err := d.Exec(q)
 	if err != nil {
 		t.Fatal(err)

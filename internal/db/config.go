@@ -11,11 +11,9 @@ import (
 	"resultdb/internal/stats"
 )
 
-// Config collects every construction-time knob of a Database in one value,
-// replacing the sprawl of ad-hoc setters (SetParallelism, SetVectorized,
-// SetCostBased, EnableCache, SetCommitLog) that grew with the engine. Build
-// one with DefaultConfig, optionally layer the RESULTDB_* environment over
-// it with FromEnv, adjust fields, and pass it to Open:
+// Config collects every construction-time knob of a Database in one value.
+// Build one with DefaultConfig, optionally layer the RESULTDB_* environment
+// over it with FromEnv, adjust fields, and pass it to Open:
 //
 //	d := db.Open(db.DefaultConfig().FromEnv())
 //
@@ -23,10 +21,10 @@ import (
 // everything off (serial, row-at-a-time, heuristic planning, no cache);
 // DefaultConfig is the paper-default starting point.
 //
-// The deprecated setters remain as thin wrappers for existing embedders,
-// with the same caveat they always had, now documented: they are not
-// synchronized against in-flight statements, so call them at setup time or
-// between statements.
+// After Open, the Database's exported fields (Strategy, CoreOptions,
+// DPJoinOrder) hold the same settings. They are read at statement start
+// without synchronization, so change them only at setup time or between
+// statements; per-connection settings belong on a Session.
 type Config struct {
 	// Strategy selects the SELECT RESULTDB execution strategy
 	// (StrategySemiJoin, the paper's Algorithm 4, is the default).
@@ -165,12 +163,14 @@ func Open(cfg Config) *Database {
 		cat:         catalog.New(),
 		Strategy:    cfg.Strategy,
 		CoreOptions: core.DefaultOptions(),
-		resultCache: cache.New[*Result](DefaultCacheBudget),
 		statsCache:  stats.NewCache(),
 		DPJoinOrder: cfg.DPJoinOrder,
 		commitLog:   cfg.CommitLog,
 	}
 	d.state.Store(emptyState())
+	d.resultCache = cache.New[*Result](DefaultCacheBudget, func(table string) uint64 {
+		return d.state.Load().versionOf(table)
+	})
 	d.CoreOptions.Parallelism = cfg.Parallelism
 	d.CoreOptions.Vectorized = cfg.Vectorized
 	d.CoreOptions.CostBased = cfg.CostBased
@@ -191,28 +191,3 @@ func Open(cfg Config) *Database {
 func New() *Database {
 	return Open(DefaultConfig().FromEnv())
 }
-
-// SetParallelism sets the degree of intra-query parallelism used by joins,
-// filters, semi-join reduction, and Decompose.
-//
-// Deprecated: set Config.Parallelism at Open time (or Session.CoreOptions
-// per connection). Not synchronized against in-flight statements.
-func (d *Database) SetParallelism(p int) { d.CoreOptions.Parallelism = p }
-
-// SetVectorized toggles the vectorized (colstore) execution path. Results
-// are bit-identical to the row path.
-//
-// Deprecated: set Config.Vectorized at Open time (or Session.CoreOptions
-// per connection). Not synchronized against in-flight statements.
-func (d *Database) SetVectorized(on bool) { d.CoreOptions.Vectorized = on }
-
-// SetCostBased toggles cost-based planning (see StatsEnvVar). Statistics are
-// built lazily per table on first use and cached until the table changes;
-// ANALYZE pre-builds them eagerly.
-//
-// Deprecated: set Config.CostBased at Open time (or Session.CoreOptions per
-// connection). Not synchronized against in-flight statements.
-func (d *Database) SetCostBased(on bool) { d.CoreOptions.CostBased = on }
-
-// CostBased reports whether cost-based planning is enabled.
-func (d *Database) CostBased() bool { return d.CoreOptions.CostBased }

@@ -113,15 +113,10 @@ func TestOpenWiresConfig(t *testing.T) {
 	}
 }
 
-// The deprecated setters must keep working as thin wrappers over the fields.
+// The deprecated cache setters must keep working as thin wrappers over the
+// fields.
 func TestDeprecatedSettersStillWork(t *testing.T) {
 	d := Open(DefaultConfig())
-	d.SetParallelism(9)
-	d.SetVectorized(false)
-	d.SetCostBased(true)
-	if d.CoreOptions.Parallelism != 9 || d.CoreOptions.Vectorized || !d.CoreOptions.CostBased || !d.CostBased() {
-		t.Errorf("deprecated setters broken: %+v", d.CoreOptions)
-	}
 	d.EnableCache(1 << 20)
 	if !d.CacheEnabled() || d.CacheStats().Budget != 1<<20 {
 		t.Error("EnableCache wrapper broken")

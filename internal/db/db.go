@@ -65,10 +65,10 @@ const (
 // BEGIN/COMMIT group statements syntactically (the engine is single-writer;
 // each mutation statement is its own atomic commit).
 //
-// The exported configuration fields (Strategy, CoreOptions, DPJoinOrder) and
-// the setters over them are read at statement start without synchronization:
-// configure at Open time or between statements. Per-connection settings
-// belong on a Session, which carries its own copies.
+// The exported configuration fields (Strategy, CoreOptions, DPJoinOrder) are
+// read at statement start without synchronization: configure at Open time
+// (Config) or between statements. Per-connection settings belong on a
+// Session, which carries its own copies.
 type Database struct {
 	// mu is the writer lock: it serializes mutation batches (DML/DDL) and
 	// the commit-log appends that order them. Readers never take it. All
@@ -84,15 +84,13 @@ type Database struct {
 
 	// resultCache is the semantic query-result cache (internal/cache): a
 	// byte-budgeted LRU keyed by the canonical statement fingerprint and
-	// guarded by per-table version counters bumped on every DML/DDL. Always
-	// allocated (its version counters must track DML even while serving is
-	// off) but consulted only when CoreOptions.ResultCache is set.
+	// guarded by the version IDs of the tables it reads. Always allocated but
+	// consulted only when CoreOptions.ResultCache is set.
 	resultCache *cache.Cache[*Result]
 
 	// statsCache lazily builds and caches per-table optimizer statistics
-	// (internal/stats), keyed by table-version pointer. It backs ANALYZE and
-	// the cost-based planner (CoreOptions.CostBased). Writers Forget
-	// superseded versions at publish time.
+	// (internal/stats), keyed by table name and version ID. It backs ANALYZE
+	// and the cost-based planner (CoreOptions.CostBased).
 	statsCache *stats.Cache
 
 	// planVerdicts memoizes, per query, whether cost-based planning
@@ -146,7 +144,7 @@ func (d *Database) SetRecoveredLSN(lsn uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.state.Load()
-	d.state.Store(&dbState{tables: st.tables, vers: st.vers, seq: st.seq, lsn: lsn})
+	d.state.Store(&dbState{tables: st.tables, seq: st.seq, lsn: lsn})
 }
 
 // withWriter runs fn under the writer lock. It exists so sibling files can
@@ -337,8 +335,8 @@ func (d *Database) executor(ec execCtx, tr *trace.Tracer) *engine.Executor {
 
 // Table resolves a table in the newest committed state (engine.Source).
 // Concurrency-sensitive callers resolve through a pinned Snapshot instead;
-// Database-level resolution exists for single-threaded embedders and the
-// bulk-load paths that fill tables before serving traffic.
+// Database-level resolution exists for single-threaded embedders and tools.
+// The returned version is immutable.
 func (d *Database) Table(name string) (*storage.Table, error) {
 	return d.Snapshot().Table(name)
 }
@@ -352,20 +350,21 @@ func (d *Database) TableNames() []string {
 // Catalog exposes the schema catalog (read-only use).
 func (d *Database) Catalog() *catalog.Catalog { return d.cat }
 
-// CreateTable registers a new table from a definition; used by workload
-// generators that bypass SQL for bulk loading. The returned table is the
-// published version: generators may fill it directly only before the
-// database serves concurrent traffic.
-func (d *Database) CreateTable(def *catalog.TableDef) (*storage.Table, error) {
+// CreateTables registers filled, unpublished tables (built with
+// storage.NewTable) and publishes them in one commit; used by bulk loaders
+// that bypass SQL. A loader fills its tables completely before calling it:
+// a published table is immutable.
+func (d *Database) CreateTables(tables ...*storage.Table) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tx := d.newWriteTxn()
-	t, err := tx.create(def)
-	if err != nil {
-		return nil, err
+	for _, t := range tables {
+		if err := tx.create(t); err != nil {
+			return err
+		}
 	}
 	tx.commit(0)
-	return t, nil
+	return nil
 }
 
 // Exec parses and executes a single SQL statement.
@@ -502,7 +501,7 @@ func execCreateTable(tx *writeTxn, s *sqlparse.CreateTable) (*Result, error) {
 			Columns: fk.Columns, RefTable: fk.RefTable, RefColumns: fk.RefColumns,
 		})
 	}
-	if _, err := tx.create(def); err != nil {
+	if err := tx.create(storage.NewTable(def)); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -618,11 +617,11 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 		return nil, err
 	}
 	def.IsView = true
-	t, err := tx.create(def)
-	if err != nil {
+	t := storage.NewTable(def)
+	t.Rows = append(t.Rows, rel.Rows...)
+	if err := tx.create(t); err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, rel.Rows...)
 	return &Result{Affected: len(rel.Rows)}, nil
 }
 
@@ -642,11 +641,11 @@ func (d *Database) createResultDBView(tx *writeTxn, s *sqlparse.CreateMaterializ
 			return nil, err
 		}
 		def.IsView = true
-		t, err := tx.create(def)
-		if err != nil {
+		t := storage.NewTable(def)
+		t.Rows = append(t.Rows, set.Rows...)
+		if err := tx.create(t); err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, set.Rows...)
 		total += len(set.Rows)
 	}
 	return &Result{Affected: total, Sets: res.Sets, Stats: res.Stats}, nil

@@ -3,10 +3,9 @@ package db
 import (
 	"resultdb/internal/engine"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/storage"
 )
 
-// The plan-verdict cache memoizes one bit per (query, table generations):
+// The plan-verdict cache memoizes one bit per (query, table versions):
 // did cost-based reduction planning produce a plan operationally different
 // from the heuristic's? Statistics make big queries faster by switching
 // roots, reordering passes, and injecting pre-filters — but on tiny queries
@@ -15,8 +14,10 @@ import (
 // full cost-based run reports core.Stats.PlanDiverged == false, re-running
 // the same statement against unchanged tables skips the statistics
 // machinery and takes the (provably identical) heuristic path directly.
-// Any DML/DDL on an involved table bumps its generation and invalidates
-// the verdict, so the next execution re-plans with fresh statistics.
+// Any DML/DDL on an involved table publishes a new version ID and
+// invalidates the verdict, so the next execution re-plans with fresh
+// statistics. A verdict involving an unpublished table (version 0, a write
+// transaction's draft) is never recorded.
 //
 // Traced runs (EXPLAIN ANALYZE and friends) bypass the cache in both
 // directions: they always plan with statistics so the trace shows the
@@ -28,14 +29,12 @@ import (
 // re-derived in one execution each).
 const planVerdictCap = 512
 
-// planVerdict fingerprints the tables a verdict was recorded against.
-// Identity is by table pointer plus generation plus row count, mirroring
-// the statistics cache's invalidation rule: any of the three changing
-// means the statistics (and hence possibly the plan) changed.
+// planVerdict records the version IDs of the query's relations (in
+// spec.Rels order) a verdict was planned against. The statement text fixes
+// the table names, and a published version is immutable, so equal IDs mean
+// equal statistics.
 type planVerdict struct {
-	tables   []*storage.Table
-	gens     []uint64
-	rows     []int
+	versions []uint64
 	diverged bool
 }
 
@@ -103,18 +102,16 @@ func modeKeySuffix(mode Mode) string {
 // planConfirmedHeuristic reports whether a previous cost-based execution of
 // key recorded a non-diverged plan that is still valid for the table
 // versions src resolves (the reader's snapshot, or a write transaction).
-// Under MVCC the pointer comparison does the heavy lifting: a published
-// version is immutable, so matching pointers means matching statistics.
 func (d *Database) planConfirmedHeuristic(src engine.Source, key string, spec *engine.SPJSpec) bool {
 	d.planMu.Lock()
 	v, ok := d.planVerdicts[key]
 	d.planMu.Unlock()
-	if !ok || v.diverged || len(v.tables) != len(spec.Rels) {
+	if !ok || v.diverged || len(v.versions) != len(spec.Rels) {
 		return false
 	}
 	for i, r := range spec.Rels {
 		t, err := src.Table(r.Table)
-		if err != nil || t != v.tables[i] || t.Generation() != v.gens[i] || t.Len() != v.rows[i] {
+		if err != nil || t.Version() != v.versions[i] {
 			return false
 		}
 	}
@@ -122,25 +119,16 @@ func (d *Database) planConfirmedHeuristic(src engine.Source, key string, spec *e
 }
 
 // recordPlanVerdict stores the divergence verdict of a completed cost-based
-// execution, fingerprinted by the involved table versions it planned
-// against.
+// execution, keyed on the version IDs of the tables it planned against.
 func (d *Database) recordPlanVerdict(src engine.Source, key string, spec *engine.SPJSpec, diverged bool) {
-	v := planVerdict{
-		tables:   make([]*storage.Table, 0, len(spec.Rels)),
-		gens:     make([]uint64, 0, len(spec.Rels)),
-		rows:     make([]int, 0, len(spec.Rels)),
-		diverged: diverged,
-	}
-	for _, r := range spec.Rels {
+	v := planVerdict{versions: make([]uint64, len(spec.Rels)), diverged: diverged}
+	for i, r := range spec.Rels {
 		t, err := src.Table(r.Table)
-		if err != nil {
-			// A table vanished mid-flight; the verdict cannot be
-			// fingerprinted, so don't cache it.
+		if err != nil || t.Version() == 0 {
+			// A vanished or unpublished table has no version to key on.
 			return
 		}
-		v.tables = append(v.tables, t)
-		v.gens = append(v.gens, t.Generation())
-		v.rows = append(v.rows, t.Len())
+		v.versions[i] = t.Version()
 	}
 	d.planMu.Lock()
 	if d.planVerdicts == nil || len(d.planVerdicts) >= planVerdictCap {

@@ -58,14 +58,14 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 			return d.queryCached(ec, sel)
 		}
 		key := cacheKey(ec, sel)
-		if _, ok := d.resultCache.PeekAt(key, sqlparse.Tables(sel), ec.snap.versionOf); ok {
+		if _, ok := d.resultCache.PeekAt(key, sqlparse.Tables(sel), ec.snap.st.versionOf); ok {
 			tr.SetCacheStatus("hit")
 		} else {
 			tr.SetCacheStatus("miss")
 		}
 		res, err := d.queryUncached(ec, sel, tr)
 		if err == nil {
-			d.resultCache.PutAt(key, res, cachedResultBytes(res), sqlparse.Tables(sel), ec.snap.versionOf)
+			d.resultCache.PutAt(key, res, cachedResultBytes(res), sqlparse.Tables(sel), ec.snap.st.versionOf)
 		}
 		return res, err
 	}
@@ -257,11 +257,7 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 	if err != nil {
 		return nil, nil, err
 	}
-	decompose := core.DecomposeTraced
-	if ec.opts.Vectorized {
-		decompose = core.DecomposeVecTraced
-	}
-	reduced, err := decompose(joined, outputs, ec.opts.Parallelism, tr)
+	reduced, err := core.Decompose(joined, outputs, ec.opts.Parallelism, ec.opts.Vectorized, tr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,19 +10,15 @@ import (
 )
 
 // dbState is one immutable published version of the whole database: the
-// table set (each *storage.Table itself an immutable published version), the
-// per-table-name cache version counters, and the commit position. Readers
-// pin a state with one atomic load and then execute entirely lock-free;
-// writers derive the next state under the writer lock and publish it with
-// one atomic store. A state, once published, is never mutated.
+// table set (each *storage.Table itself an immutable published version,
+// stamped with the seq of the commit that published it) and the commit
+// position. Readers pin a state with one atomic load and then execute
+// entirely lock-free; writers derive the next state under the writer lock
+// and publish it with one atomic store. A state, once published, is never
+// mutated.
 type dbState struct {
 	// tables maps lower-cased names to published table versions.
 	tables map[string]*storage.Table
-	// vers holds the per-table-name version counters the semantic result
-	// cache keys on. Unlike storage.Table.Generation, these survive
-	// DROP+CREATE (a re-created table must not revive results cached against
-	// a previous incarnation), mirroring cache.Cache's own counters.
-	vers map[string]uint64
 	// seq is the commit sequence number: +1 per published mutation batch.
 	seq uint64
 	// lsn is the WAL LSN of the last commit included in this state (0 when
@@ -78,47 +74,44 @@ func (s *Snapshot) Seq() uint64 { return s.st.seq }
 // exact log position it reflects.
 func (s *Snapshot) LSN() uint64 { return s.st.lsn }
 
-// versionOf returns the cache version counter of a table name as of this
-// snapshot. Results computed against the snapshot are admitted to the
-// result cache keyed on these — not on the possibly newer live counters —
-// so a fill racing a writer can never be served stale.
-func (s *Snapshot) versionOf(name string) uint64 {
-	return s.st.vers[strings.ToLower(name)]
+// versionOf returns the version ID of a table name in st (0 when the table
+// does not exist in it). The result cache keys entries on a snapshot's
+// versions, so a reader is only ever served a result computed at exactly
+// its snapshot's table versions.
+func (st *dbState) versionOf(name string) uint64 {
+	if t, ok := st.tables[strings.ToLower(name)]; ok {
+		return t.Version()
+	}
+	return 0
 }
 
 // writeTxn accumulates one mutation batch on top of a base state. The table
-// map and version map are copied once (O(tables)); mutated tables are
-// replaced by copy-on-write drafts (storage.Table.BeginVersion). commit
-// publishes the batch atomically; a txn abandoned on error leaves the
-// published state — and every concurrent reader — untouched.
+// map is copied once (O(tables)); mutated tables are replaced by
+// copy-on-write drafts (storage.Table.BeginVersion). commit stamps every
+// draft with the new seq and publishes the batch atomically; a txn abandoned
+// on error leaves the published state — and every concurrent reader —
+// untouched.
 type writeTxn struct {
 	d      *Database
 	base   *dbState
 	tables map[string]*storage.Table
-	vers   map[string]uint64
 
-	drafts   map[string]*storage.Table // draft versions begun this txn
-	touched  []string                  // names whose cache versions bump
-	replaced []*storage.Table          // superseded versions (stats cache cleanup)
-	creates  []*catalog.TableDef       // catalog registrations, applied at commit
-	drops    []string                  // catalog removals, applied at commit
+	drafts  map[string]*storage.Table // unpublished versions begun or created this txn
+	creates []*catalog.TableDef       // catalog registrations, applied at commit
+	drops   []string                  // catalog removals, applied at commit
 }
 
-// newWriteTxn copies the base state's maps. Called with d.mu held.
+// newWriteTxn copies the base state's table map. Called with d.mu held.
 func (d *Database) newWriteTxn() *writeTxn {
 	base := d.state.Load()
 	tx := &writeTxn{
 		d:      d,
 		base:   base,
 		tables: make(map[string]*storage.Table, len(base.tables)+1),
-		vers:   make(map[string]uint64, len(base.vers)+1),
 		drafts: make(map[string]*storage.Table),
 	}
 	for k, v := range base.tables {
 		tx.tables[k] = v
-	}
-	for k, v := range base.vers {
-		tx.vers[k] = v
 	}
 	return tx
 }
@@ -147,52 +140,36 @@ func (tx *writeTxn) draft(name string) (*storage.Table, error) {
 	t := cur.BeginVersion()
 	tx.drafts[key] = t
 	tx.tables[key] = t
-	tx.replaced = append(tx.replaced, cur)
-	tx.touch(name)
 	return t, nil
 }
 
-// create registers a new (empty, unpublished) table in the transaction.
-func (tx *writeTxn) create(def *catalog.TableDef) (*storage.Table, error) {
-	key := strings.ToLower(def.Name)
-	if _, ok := tx.tables[key]; ok || tx.d.cat.Has(def.Name) {
-		return nil, fmt.Errorf("catalog: table %q already exists", def.Name)
+// create registers an unpublished table in the transaction: a new empty one
+// for CREATE TABLE and materialized views, or a bulk loader's filled one.
+func (tx *writeTxn) create(t *storage.Table) error {
+	key := strings.ToLower(t.Def.Name)
+	if _, ok := tx.tables[key]; ok || tx.d.cat.Has(t.Def.Name) {
+		return fmt.Errorf("catalog: table %q already exists", t.Def.Name)
 	}
-	t := storage.NewTable(def)
 	tx.tables[key] = t
 	tx.drafts[key] = t
-	tx.creates = append(tx.creates, def)
-	// A re-created table is a different table: any cached result computed
-	// against a previous incarnation (e.g. before a DROP) must not survive.
-	tx.touch(def.Name)
-	return t, nil
+	tx.creates = append(tx.creates, t.Def)
+	return nil
 }
 
 // drop removes a table from the transaction.
 func (tx *writeTxn) drop(name string) {
-	key := strings.ToLower(name)
-	if old, ok := tx.tables[key]; ok {
-		tx.replaced = append(tx.replaced, old)
-	}
-	delete(tx.tables, key)
+	delete(tx.tables, strings.ToLower(name))
 	tx.drops = append(tx.drops, name)
-	tx.touch(name)
-}
-
-// touch marks a table name's cached results as invalidated by this batch.
-func (tx *writeTxn) touch(name string) {
-	key := strings.ToLower(name)
-	tx.vers[key]++
-	tx.touched = append(tx.touched, key)
 }
 
 // commit publishes the transaction as the next database state, stamped with
 // the WAL position of its commit record. Called with d.mu held, after the
 // batch applied cleanly and (when a commit log is installed) after its log
 // append succeeded — so log order is publish order, and a state no reader
-// has seen is never ahead of the log. The result-cache version bumps happen
-// before the store: once a reader can see the new state, every stale cached
-// entry is already invalidated.
+// has seen is never ahead of the log. Every draft is stamped with the new
+// seq as its version ID before the store: once a reader can see the new
+// state, every cached result, statistic and plan verdict keyed on an older
+// version of a changed table no longer matches.
 func (tx *writeTxn) commit(lsn uint64) {
 	d := tx.d
 	for _, def := range tx.creates {
@@ -203,27 +180,17 @@ func (tx *writeTxn) commit(lsn uint64) {
 	for _, name := range tx.drops {
 		d.cat.Drop(name)
 	}
-	for _, old := range tx.replaced {
-		d.statsCache.Forget(old)
-	}
-	if len(tx.touched) > 0 {
-		d.resultCache.Bump(tx.touched...)
+	seq := tx.base.seq + 1
+	for _, t := range tx.drafts {
+		t.Publish(seq)
 	}
 	if lsn == 0 {
 		lsn = tx.base.lsn
 	}
-	d.state.Store(&dbState{
-		tables: tx.tables,
-		vers:   tx.vers,
-		seq:    tx.base.seq + 1,
-		lsn:    lsn,
-	})
+	d.state.Store(&dbState{tables: tx.tables, seq: seq, lsn: lsn})
 }
 
 // emptyState returns the state of a freshly created database.
 func emptyState() *dbState {
-	return &dbState{
-		tables: make(map[string]*storage.Table),
-		vers:   make(map[string]uint64),
-	}
+	return &dbState{tables: make(map[string]*storage.Table)}
 }

@@ -106,9 +106,9 @@ func TestTraceCountsIdenticalAcrossParallelism(t *testing.T) {
 	d := loadJOBTrace(t)
 	for _, resultDB := range []bool{true, false} {
 		for _, q := range job.Queries() {
-			d.SetParallelism(1)
+			d.CoreOptions.Parallelism = 1
 			_, tr1 := tracedQuery(t, d, q.SQL, resultDB)
-			d.SetParallelism(4)
+			d.CoreOptions.Parallelism = 4
 			_, tr4 := tracedQuery(t, d, q.SQL, resultDB)
 			fp1, fp4 := tr1.CountsFingerprint(), tr4.CountsFingerprint()
 			if fp1 != fp4 {

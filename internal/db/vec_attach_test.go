@@ -8,7 +8,7 @@ import "testing"
 // column), which is what lets the v2 encoder reuse scan-time dictionaries.
 func TestVectorizedResultSetsCarryViews(t *testing.T) {
 	d := New()
-	d.SetVectorized(true)
+	d.CoreOptions.Vectorized = true
 	if _, err := d.ExecScript(`
 CREATE TABLE a (id INT PRIMARY KEY, name TEXT);
 CREATE TABLE b (id INT PRIMARY KEY, a_id INT, v FLOAT);

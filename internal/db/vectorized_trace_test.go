@@ -18,9 +18,9 @@ import (
 
 func TestVectorizedTraceFingerprintMatchesRowPath(t *testing.T) {
 	row := loadJOBTrace(t)
-	row.SetVectorized(false)
+	row.CoreOptions.Vectorized = false
 	vec := loadJOBTrace(t)
-	vec.SetVectorized(true)
+	vec.CoreOptions.Vectorized = true
 
 	check := func(name, sql string, resultDB bool) {
 		t.Helper()
@@ -59,7 +59,7 @@ func TestVectorizedTraceFingerprintMatchesRowPath(t *testing.T) {
 // strippable bracket (so classic EXPLAIN output stays unchanged).
 func TestVectorizedTraceDictAnnotation(t *testing.T) {
 	d := loadJOBTrace(t)
-	d.SetVectorized(true)
+	d.CoreOptions.Vectorized = true
 	q, err := job.QueryByName("1b")
 	if err != nil {
 		t.Fatal(err)

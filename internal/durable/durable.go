@@ -10,7 +10,7 @@
 // tables every time, WAL records are replayed in dense LSN order, and each
 // record is the canonical SQL of a batch the engine executes
 // deterministically. Recovery builds a *fresh* db.Database, so semantic-cache
-// entries and colstore frame generations from the pre-crash process are
+// entries, statistics and colstore frames from the pre-crash process are
 // unreachable by construction — nothing stale can be trusted, because
 // nothing survives.
 //

@@ -326,7 +326,7 @@ func TestRecoveryVectorizedResults(t *testing.T) {
 	// Pre-crash process touches the vectorized path (warming frames), then
 	// commits more rows, then "crashes".
 	m, d := openMem(t, img, Options{})
-	d.SetVectorized(true)
+	d.CoreOptions.Vectorized = true
 	suite := hierarchySuite()
 	if _, err := d.QuerySQL(suite[1].sql); err != nil {
 		t.Fatal(err)
@@ -340,10 +340,10 @@ func TestRecoveryVectorizedResults(t *testing.T) {
 
 	mv, dv := openMem(t, img, Options{})
 	defer mv.Close()
-	dv.SetVectorized(true)
+	dv.CoreOptions.Vectorized = true
 	mr, dr := openMem(t, img.Clone(), Options{})
 	defer mr.Close()
-	dr.SetVectorized(false)
+	dr.CoreOptions.Vectorized = false
 	for _, q := range suite {
 		vec := encodeSuite(t, dv, []suiteQuery{q})
 		row := encodeSuite(t, dr, []suiteQuery{q})

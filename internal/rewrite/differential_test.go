@@ -137,7 +137,7 @@ func TestDifferentialOracleJOB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d.CoreOptions.Parallelism = par
 		for _, q := range job.Queries() {
 			checkDifferential(t, d, "job-"+q.Name, parseSPJ(t, q.SQL), par)
 		}
@@ -160,7 +160,7 @@ func TestDifferentialOracleStar(t *testing.T) {
 		"star-payload-100": star.PayloadQuery(cfg, 1.0),
 	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d.CoreOptions.Parallelism = par
 		for name, sql := range queries {
 			checkDifferential(t, d, name, parseSPJ(t, sql), par)
 		}
@@ -179,7 +179,7 @@ func TestDifferentialOracleHierarchy(t *testing.T) {
 		"hier-clothing":    hierarchy.ResultDBClothing,
 	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d.CoreOptions.Parallelism = par
 		for name, sql := range queries {
 			checkDifferential(t, d, name, parseSPJ(t, sql), par)
 		}

@@ -204,16 +204,14 @@ func decodeBody(dec *wire.Decoder) (*db.Database, error) {
 	if nTables > uint64(dec.Remaining()) {
 		return nil, fmt.Errorf("%w: table count %d exceeds remaining %d bytes", ErrCorrupt, nTables, dec.Remaining())
 	}
-	d := db.New()
+	tables := make([]*storage.Table, 0, nTables)
 	for i := uint64(0); i < nTables; i++ {
 		def, err := decodeDef(dec)
 		if err != nil {
 			return nil, err
 		}
-		t, err := d.CreateTable(def)
-		if err != nil {
-			return nil, fmt.Errorf("%w: table %d: %v", ErrCorrupt, i, err)
-		}
+		t := storage.NewTable(def)
+		tables = append(tables, t)
 		nRows, err := dec.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("%w: table %s row count: %v", ErrCorrupt, def.Name, err)
@@ -237,6 +235,10 @@ func decodeBody(dec *wire.Decoder) (*db.Database, error) {
 	}
 	if dec.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, dec.Remaining())
+	}
+	d := db.New()
+	if err := d.CreateTables(tables...); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return d, nil
 }

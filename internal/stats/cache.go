@@ -1,67 +1,73 @@
 package stats
 
 import (
+	"strings"
 	"sync"
 
 	"resultdb/internal/storage"
 )
 
-// Cache lazily builds and caches per-table statistics, invalidated by the
-// table's generation counter — the exact pattern storage.Table uses for its
-// columnar frame cache. Safe for concurrent lock-free readers, which may
-// race to build stats for the same table version.
+// Cache lazily builds and caches per-table statistics, keyed by table name
+// and the version ID of the published table (storage.Table.Version). A
+// published version is immutable, so statistics built for it stay exact for
+// as long as it is the version cached under its name. Safe for concurrent
+// lock-free readers, which may race to build stats for the same version.
 //
-// Entries are keyed by table-version pointer (under MVCC each published
-// version is its own key). The writer Forgets superseded versions when it
-// publishes, but a reader on an old snapshot can re-insert an entry for a
-// version the writer already retired; cacheCap bounds that stray growth by
-// resetting the map — entries are re-derived in one build each.
+// One entry per name holds the newest version seen: a newer version replaces
+// it, and a reader still pinning an older version gets freshly built stats
+// without displacing the newer entry. An unpublished table (version 0, e.g.
+// a write-transaction draft) is never cached. cacheCap bounds the entries
+// left behind by dropped names by resetting the map — entries are re-derived
+// in one build each.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[*storage.Table]*cacheEntry
+	entries map[string]cacheEntry
 }
 
 // cacheCap bounds the number of cached tables (see Cache doc).
 const cacheCap = 4096
 
 type cacheEntry struct {
-	gen  uint64
-	rows int
-	st   *Table
+	version uint64
+	st      *Table
 }
 
 // NewCache returns an empty statistics cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[*storage.Table]*cacheEntry)}
+	return &Cache{entries: make(map[string]cacheEntry)}
 }
 
-// Of returns current statistics for t, building them if the cache is cold or
-// stale (the table's generation moved on since the last build).
+// Of returns statistics for t, building them unless the cache already holds
+// them for t's version.
 func (c *Cache) Of(t *storage.Table) *Table {
+	v := t.Version()
+	if v == 0 {
+		return FromTable(t)
+	}
+	name := strings.ToLower(t.Def.Name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[t]; ok && e.gen == t.Generation() && e.rows == t.Len() {
+	e, ok := c.entries[name]
+	if ok && e.version == v {
 		return e.st
 	}
 	st := FromTable(t)
-	if len(c.entries) >= cacheCap {
-		c.entries = make(map[*storage.Table]*cacheEntry)
+	if !ok || e.version < v {
+		if len(c.entries) >= cacheCap {
+			c.entries = make(map[string]cacheEntry)
+		}
+		c.entries[name] = cacheEntry{version: v, st: st}
 	}
-	c.entries[t] = &cacheEntry{gen: t.Generation(), rows: t.Len(), st: st}
 	return st
 }
 
-// Forget drops any cached entry for t. Called when a table is dropped so the
-// pointer-keyed map does not pin dead tables.
-func (c *Cache) Forget(t *storage.Table) {
+// Versions returns the version ID cached for each table name (lower-cased).
+func (c *Cache) Versions() map[string]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.entries, t)
-}
-
-// Len returns the number of cached tables (for tests).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	out := make(map[string]uint64, len(c.entries))
+	for name, e := range c.entries {
+		out[name] = e.version
+	}
+	return out
 }

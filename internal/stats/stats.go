@@ -5,9 +5,9 @@
 // Statistics are built in one pass over the row-major storage (never from the
 // columnar frames, so estimates are identical whether vectorized execution is
 // on or off), are fully deterministic (the NDV sketch hashes with the same
-// seeded FNV-1a stream as the join hash tables), and are cached against the
-// table's generation counter by Cache — the same invalidation pattern as the
-// colstore frame cache in storage.Table.Columns.
+// seeded FNV-1a stream as the join hash tables), and are cached by Cache per
+// published table version (storage.Table.Version) — derived data attached to
+// an immutable version, like the colstore frame of storage.Table.Columns.
 //
 // The numbers feed estimates only: plan choice may change, query results may
 // not. The planner layers that consume them (root selection, reducer
@@ -68,7 +68,7 @@ func (c *Column) NullFrac() float64 {
 	return float64(c.Nulls) / float64(c.Rows)
 }
 
-// Table holds the statistics of one table at one generation.
+// Table holds the statistics of one table version.
 type Table struct {
 	// Name is the table name.
 	Name string

@@ -193,11 +193,16 @@ func TestHistogramFracInRange(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation is the stale-generation invalidation check: stats are
-// reused while the table is unchanged and rebuilt after DML.
+// TestCacheInvalidation is the version-ID invalidation check: stats are
+// reused while the table version is unchanged, rebuilt for a newer version,
+// and never cached for an unpublished table (version 0).
 func TestCacheInvalidation(t *testing.T) {
 	tab := intTable(t, "c", []int64{1, 2, 3})
 	cache := NewCache()
+	if s0 := cache.Of(tab); s0.Rows != 3 || len(cache.Versions()) != 0 {
+		t.Fatalf("unpublished table: rows %d, cached %v; want 3 rows, nothing cached", s0.Rows, cache.Versions())
+	}
+	tab.Publish(1)
 	s1 := cache.Of(tab)
 	if s1.Rows != 3 || s1.Col("v").NDV != 3 {
 		t.Fatalf("initial stats wrong: %+v", s1)
@@ -205,19 +210,28 @@ func TestCacheInvalidation(t *testing.T) {
 	if s2 := cache.Of(tab); s2 != s1 {
 		t.Fatal("unchanged table must hit the cache (same pointer)")
 	}
-	if err := tab.Insert(types.Row{types.NewInt(4)}); err != nil {
+	next := tab.BeginVersion()
+	if err := next.Insert(types.Row{types.NewInt(4)}); err != nil {
 		t.Fatal(err)
 	}
-	s3 := cache.Of(tab)
+	if s := cache.Of(next); s.Rows != 4 || cache.Versions()["c"] != 1 {
+		t.Fatalf("unpublished successor: rows %d, cached %v; want 4 rows, version 1 still cached", s.Rows, cache.Versions())
+	}
+	next.Publish(2)
+	s3 := cache.Of(next)
 	if s3 == s1 {
 		t.Fatal("stats not rebuilt after insert")
 	}
 	if s3.Rows != 4 || s3.Col("v").NDV != 4 {
 		t.Fatalf("post-DML stats wrong: %+v", s3)
 	}
-	cache.Forget(tab)
-	if cache.Len() != 0 {
-		t.Fatalf("Forget left %d entries", cache.Len())
+	// A reader still pinning the old version gets its own exact stats
+	// without displacing the newer entry.
+	if s := cache.Of(tab); s.Rows != 3 || cache.Versions()["c"] != 2 {
+		t.Fatalf("old-version reader: rows %d, cached %v; want 3 rows, version 2 cached", s.Rows, cache.Versions())
+	}
+	if got := cache.Versions(); len(got) != 1 {
+		t.Fatalf("cache holds %v, want one entry", got)
 	}
 }
 

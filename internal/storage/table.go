@@ -1,11 +1,9 @@
-// Package storage provides in-memory, row-major physical tables plus hash
-// indexes. A Table pairs a catalog.TableDef with its rows and is the unit the
+// Package storage provides in-memory, row-major physical tables. A Table pairs a catalog.TableDef with its rows and is the unit the
 // executor scans and the semi-join reducer filters.
 package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"resultdb/internal/catalog"
@@ -16,67 +14,79 @@ import (
 // Table is an in-memory relation: a definition plus rows.
 //
 // Under the MVCC regime (internal/db), a *Table is one published version of
-// a relation: once a version is visible to readers it is never mutated again.
-// Writers derive a successor with BeginVersion, apply their batch to the
-// draft, and publish the draft as the next version — readers holding the old
-// pointer keep a stable, fully consistent row set with zero locking. The row
-// prefix is shared between versions (append-only storage), so deriving a
-// version is O(1) and appending amortizes exactly like a plain slice.
+// a relation, stamped with a version ID: the commit sequence number that
+// published it (0 = not yet published). Once published, a version is never
+// mutated again. Writers derive a successor with BeginVersion, apply their
+// batch to the draft, and publish the draft as the next version — readers
+// holding the old pointer keep a stable, fully consistent row set with zero
+// locking. The row prefix is shared between versions (append-only storage),
+// so deriving a version is O(1) and appending amortizes exactly like a plain
+// slice.
 //
-// Direct mutation (Insert/InsertAll on a published table) remains supported
-// for the single-threaded bulk-load paths (workload generators, CSV import,
-// snapshot restore) that run before any concurrent traffic; it must never be
-// used on a table reachable by a concurrent reader. The lazily built derived
-// caches (Columns, Index) are internally locked because concurrent readers
-// of the *same version* may race to build them.
+// Bulk loaders (workload generators, CSV import, snapshot restore) follow the
+// same rule: they fill an unpublished table built with NewTable and publish
+// it once it is complete. Insert and InsertAll refuse a published table. The
+// lazily built columnar image (Columns) belongs to exactly one version and is
+// internally locked because concurrent readers of the same version may race
+// to build it.
 type Table struct {
 	Def  *catalog.TableDef
 	Rows []types.Row
 
-	indexes map[string]*HashIndex // keyed by canonical column list
+	version uint64
 
-	// gen counts invalidations; the column-vector cache is tagged with the
-	// generation it was built from and discarded when the table moves on.
-	gen uint64
-
-	colMu   sync.Mutex
-	cols    *colstore.Frame
-	colsGen uint64
+	colMu sync.Mutex
+	cols  *colstore.Frame
 }
 
-// NewTable returns an empty table for def.
+// NewTable returns an empty, unpublished table for def.
 func NewTable(def *catalog.TableDef) *Table {
 	return &Table{Def: def}
 }
 
-// BeginVersion derives a mutable successor of a published version: it shares
-// t's row prefix (copy-on-write — the parent's header caps what readers can
-// see, so appends to the draft never become visible through old snapshots),
-// starts one generation later, and carries none of the parent's derived
-// caches. The caller applies one mutation batch to the draft and publishes
-// it; a draft discarded on error simply never becomes visible.
+// BeginVersion derives a mutable, unpublished successor of a published
+// version: it shares t's row prefix (copy-on-write — the parent's header caps
+// what readers can see, so appends to the draft never become visible through
+// old snapshots) and carries none of the parent's derived caches. The caller
+// applies one mutation batch to the draft and publishes it; a draft discarded
+// on error simply never becomes visible.
 //
 // Only one draft may be derived from the newest version at a time (the
 // database's writer lock enforces this): successive versions share one
 // growing backing array, and two concurrent drafts of the same parent would
 // race on its append region.
 func (t *Table) BeginVersion() *Table {
-	return &Table{Def: t.Def, Rows: t.Rows, gen: t.gen + 1}
+	return &Table{Def: t.Def, Rows: t.Rows}
 }
 
-// invalidate discards derived structures (hash indexes, column vectors)
-// after the row set changed. One call per logical mutation batch.
-func (t *Table) invalidate() {
-	t.indexes = nil
-	t.gen++
+// Version returns the ID of this published version — the commit sequence
+// number that published it — or 0 while the table is unpublished. IDs are
+// globally monotonic, so two versions of a name (including a dropped and
+// re-created table) never share one, and anything derived from a version
+// (statistics, plan verdicts, cached results) can be keyed on it.
+func (t *Table) Version() uint64 { return t.version }
+
+// Publish stamps an unpublished table with its version ID (a non-zero commit
+// sequence number) just before it becomes visible to readers. From then on
+// the table is immutable.
+func (t *Table) Publish(version uint64) {
+	if t.version != 0 || version == 0 {
+		panic(fmt.Sprintf("storage: publish %q as version %d (already version %d)", t.Def.Name, version, t.version))
+	}
+	t.version = version
 }
 
-// Generation returns the table's invalidation counter. It changes whenever
-// the row set changes, so derived caches can detect staleness in O(1).
-func (t *Table) Generation() uint64 { return t.gen }
+// mutable rejects mutations of a published version and discards the
+// columnar image of an unpublished one that is about to change.
+func (t *Table) mutable() error {
+	if t.version != 0 {
+		return fmt.Errorf("storage: table %q version %d is published and immutable", t.Def.Name, t.version)
+	}
+	t.cols = nil
+	return nil
+}
 
-// insertRow validates and appends a row without invalidating caches; callers
-// invalidate once per batch.
+// insertRow validates and appends a row.
 func (t *Table) insertRow(row types.Row) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: table %q expects %d values, got %d",
@@ -101,21 +111,17 @@ func (t *Table) insertRow(row types.Row) error {
 // Insert validates and appends a row. Values are coerced to column types;
 // arity and NOT NULL violations are errors.
 func (t *Table) Insert(row types.Row) error {
-	if err := t.insertRow(row); err != nil {
+	if err := t.mutable(); err != nil {
 		return err
 	}
-	t.invalidate()
-	return nil
+	return t.insertRow(row)
 }
 
-// InsertAll appends rows, stopping at the first error. Derived caches are
-// invalidated once per batch, not once per row, so bulk loads do not
-// repeatedly discard (and any interleaved reader rebuild) indexes.
+// InsertAll appends rows, stopping at the first error.
 func (t *Table) InsertAll(rows []types.Row) error {
-	if len(rows) == 0 {
-		return nil
+	if err := t.mutable(); err != nil {
+		return err
 	}
-	defer t.invalidate()
 	for _, r := range rows {
 		if err := t.insertRow(r); err != nil {
 			return err
@@ -127,14 +133,6 @@ func (t *Table) InsertAll(rows []types.Row) error {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Clone returns a copy sharing row values but not the row slice, so the copy
-// can be filtered/reduced without disturbing the original.
-func (t *Table) Clone() *Table {
-	rows := make([]types.Row, len(t.Rows))
-	copy(rows, t.Rows)
-	return &Table{Def: t.Def, Rows: rows}
-}
-
 // WireSize returns the total result-set size in bytes under the paper's
 // Section 6.1 accounting.
 func (t *Table) WireSize() int {
@@ -145,35 +143,15 @@ func (t *Table) WireSize() int {
 	return n
 }
 
-// SortRows orders rows lexicographically in place, for deterministic output.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		return types.CompareRows(t.Rows[i], t.Rows[j]) < 0
-	})
-}
-
-// Distinct removes duplicate rows in place, preserving first-seen order.
-func (t *Table) Distinct() {
-	seen := types.NewRowSet()
-	out := t.Rows[:0:0]
-	for _, r := range t.Rows {
-		if seen.Add(r) {
-			out = append(out, r)
-		}
-	}
-	t.Rows = out
-	t.invalidate()
-}
-
 // Columns returns the table's columnar image (typed vectors, dictionary-
-// encoded TEXT, null bitmaps), building it lazily on first use and caching
-// it until the next mutation. Safe for concurrent readers: the build is
-// guarded by a mutex and tagged with the generation it was built from, the
-// same counter that invalidates hash indexes.
+// encoded TEXT, null bitmaps), building it lazily on first use. A published
+// version never changes, so its frame is built at most once and shared by
+// every reader; concurrent first calls serialize on a mutex and all get the
+// same *Frame.
 func (t *Table) Columns() *colstore.Frame {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
-	if t.cols != nil && t.colsGen == t.gen && t.cols.Rows() == len(t.Rows) {
+	if t.cols != nil {
 		return t.cols
 	}
 	kinds := make([]types.Kind, len(t.Def.Columns))
@@ -181,92 +159,5 @@ func (t *Table) Columns() *colstore.Frame {
 		kinds[i] = c.Type
 	}
 	t.cols = colstore.NewFrame(kinds, t.Rows)
-	t.colsGen = t.gen
 	return t.cols
-}
-
-// HashIndex maps composite key hashes to row positions; used by hash joins
-// and semi-join reductions.
-type HashIndex struct {
-	cols    []int
-	buckets map[uint64][]int
-	table   *Table
-}
-
-// Index returns (building if necessary) a hash index on the given column
-// positions of t.
-func (t *Table) Index(cols []int) *HashIndex {
-	key := fmt.Sprint(cols)
-	if t.indexes == nil {
-		t.indexes = make(map[string]*HashIndex)
-	}
-	if idx, ok := t.indexes[key]; ok {
-		return idx
-	}
-	idx := &HashIndex{
-		cols:    append([]int(nil), cols...),
-		buckets: make(map[uint64][]int),
-		table:   t,
-	}
-	for pos, r := range t.Rows {
-		if rowHasNull(r, cols) {
-			continue // NULL keys never join
-		}
-		h := r.HashKey(cols)
-		idx.buckets[h] = append(idx.buckets[h], pos)
-	}
-	t.indexes[key] = idx
-	return idx
-}
-
-// Probe returns the positions of rows whose key columns equal probe's key
-// columns (probeCols in the probing row). NULL probes match nothing.
-func (idx *HashIndex) Probe(probe types.Row, probeCols []int) []int {
-	if rowHasNull(probe, probeCols) {
-		return nil
-	}
-	h := probe.HashKey(probeCols)
-	candidates := idx.buckets[h]
-	if len(candidates) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(candidates))
-	for _, pos := range candidates {
-		if keysEqual(idx.table.Rows[pos], idx.cols, probe, probeCols) {
-			out = append(out, pos)
-		}
-	}
-	return out
-}
-
-// Contains reports whether any indexed row matches probe's key.
-func (idx *HashIndex) Contains(probe types.Row, probeCols []int) bool {
-	if rowHasNull(probe, probeCols) {
-		return false
-	}
-	h := probe.HashKey(probeCols)
-	for _, pos := range idx.buckets[h] {
-		if keysEqual(idx.table.Rows[pos], idx.cols, probe, probeCols) {
-			return true
-		}
-	}
-	return false
-}
-
-func rowHasNull(r types.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func keysEqual(a types.Row, aCols []int, b types.Row, bCols []int) bool {
-	for i := range aCols {
-		if !types.Equal(a[aCols[i]], b[bCols[i]]) {
-			return false
-		}
-	}
-	return true
 }

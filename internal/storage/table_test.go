@@ -1,10 +1,11 @@
 package storage
 
 import (
-	"math/rand"
+	"sync"
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/colstore"
 	"resultdb/internal/types"
 )
 
@@ -49,42 +50,7 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.InsertAll([]types.Row{
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(0)},
-		{types.NewInt(2), types.NewText("b"), types.NewFloat(0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c := tab.Clone()
-	c.Rows = c.Rows[:1]
-	if tab.Len() != 2 {
-		t.Error("Clone's truncation affected the original")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	tab := newTable(t)
-	rows := []types.Row{
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(1)},
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(1)},
-		{types.NewInt(2), types.NewText("a"), types.NewFloat(1)},
-	}
-	if err := tab.InsertAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	tab.Distinct()
-	if tab.Len() != 2 {
-		t.Errorf("Distinct left %d rows, want 2", tab.Len())
-	}
-	// First-seen order preserved.
-	if tab.Rows[0][0].Int() != 1 || tab.Rows[1][0].Int() != 2 {
-		t.Errorf("Distinct reordered rows: %v", tab.Rows)
-	}
-}
-
-func TestSortRowsAndWireSize(t *testing.T) {
+func TestWireSize(t *testing.T) {
 	tab := newTable(t)
 	if err := tab.InsertAll([]types.Row{
 		{types.NewInt(2), types.NewText("bb"), types.NewFloat(0)},
@@ -92,119 +58,16 @@ func TestSortRowsAndWireSize(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tab.SortRows()
-	if tab.Rows[0][0].Int() != 1 {
-		t.Error("SortRows did not order by first column")
-	}
 	// id(8) + name(2) + score(8) + id(8) + name(1) + score(8)
 	if got := tab.WireSize(); got != 35 {
 		t.Errorf("WireSize = %d, want 35", got)
 	}
 }
 
-func TestHashIndexProbe(t *testing.T) {
-	tab := newTable(t)
-	for i := 0; i < 100; i++ {
-		err := tab.Insert(types.Row{
-			types.NewInt(int64(i)),
-			types.NewText("n"),
-			types.NewFloat(float64(i % 10)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx := tab.Index([]int{2}) // score has 10 distinct values
-	probe := types.Row{types.NewFloat(3)}
-	hits := idx.Probe(probe, []int{0})
-	if len(hits) != 10 {
-		t.Errorf("Probe hits = %d, want 10", len(hits))
-	}
-	for _, pos := range hits {
-		if tab.Rows[pos][2].Float() != 3 {
-			t.Errorf("false positive at %d", pos)
-		}
-	}
-	if !idx.Contains(probe, []int{0}) {
-		t.Error("Contains misses present key")
-	}
-	if idx.Contains(types.Row{types.NewFloat(42)}, []int{0}) {
-		t.Error("Contains finds absent key")
-	}
-	// NULL probes never match.
-	if idx.Contains(types.Row{types.Null()}, []int{0}) {
-		t.Error("NULL probe matched")
-	}
-}
-
-func TestIndexInvalidatedOnInsert(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.Insert(types.Row{types.NewInt(1), types.Null(), types.Null()}); err != nil {
-		t.Fatal(err)
-	}
-	idx := tab.Index([]int{0})
-	if !idx.Contains(types.Row{types.NewInt(1)}, []int{0}) {
-		t.Fatal("index missing row")
-	}
-	if err := tab.Insert(types.Row{types.NewInt(2), types.Null(), types.Null()}); err != nil {
-		t.Fatal(err)
-	}
-	idx2 := tab.Index([]int{0})
-	if !idx2.Contains(types.Row{types.NewInt(2)}, []int{0}) {
-		t.Error("index not rebuilt after insert")
-	}
-}
-
-func TestIndexSkipsNullKeys(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.InsertAll([]types.Row{
-		{types.NewInt(1), types.Null(), types.Null()},
-		{types.NewInt(2), types.NewText("x"), types.Null()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	idx := tab.Index([]int{1}) // name column: one NULL, one "x"
-	if got := idx.Probe(types.Row{types.NewText("x")}, []int{0}); len(got) != 1 {
-		t.Errorf("probe = %v", got)
-	}
-}
-
-// TestHashIndexRandomized cross-checks Probe against a linear scan.
-func TestHashIndexRandomized(t *testing.T) {
-	tab := newTable(t)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		err := tab.Insert(types.Row{
-			types.NewInt(int64(rng.Intn(50))),
-			types.NewText(string(rune('a' + rng.Intn(5)))),
-			types.NewFloat(float64(rng.Intn(5))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx := tab.Index([]int{0, 1})
-	for trial := 0; trial < 200; trial++ {
-		probe := types.Row{
-			types.NewInt(int64(rng.Intn(60))),
-			types.NewText(string(rune('a' + rng.Intn(6)))),
-		}
-		got := idx.Probe(probe, []int{0, 1})
-		want := 0
-		for _, r := range tab.Rows {
-			if types.Equal(r[0], probe[0]) && types.Equal(r[1], probe[1]) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("probe %v: got %d hits, scan says %d", probe, len(got), want)
-		}
-	}
-}
-
-// TestColumnsCacheAndGeneration: the columnar frame is built lazily, cached
-// until the table changes, and invalidated by the same generation counter as
-// the hash indexes. A batch InsertAll bumps the generation exactly once.
+// TestColumnsCacheAndGeneration: the columnar frame is built lazily and
+// cached; mutating an unpublished table discards it, and a published version
+// (one generation of the relation, identified by its version ID) keeps its
+// frame for good.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -212,12 +75,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		{types.NewInt(2), types.NewText("b"), types.Null()},
 		{types.NewInt(3), types.Null(), types.NewFloat(3.5)},
 	}
-	g0 := tab.Generation()
 	if err := tab.InsertAll(rows); err != nil {
 		t.Fatal(err)
-	}
-	if got := tab.Generation(); got != g0+1 {
-		t.Fatalf("InsertAll of %d rows bumped generation %d times, want once", len(rows), got-g0)
 	}
 
 	f := tab.Columns()
@@ -248,10 +107,88 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		}
 	}
 
-	// Distinct mutates rows in place and must invalidate too.
-	tab.Distinct()
-	f3 := tab.Columns()
-	if f3.Rows() != len(tab.Rows) {
-		t.Fatalf("frame rows after Distinct = %d, want %d", f3.Rows(), len(tab.Rows))
+	// Once published, the version keeps its frame; its successor starts
+	// without one and builds its own.
+	tab.Publish(7)
+	if tab.Columns() != f2 {
+		t.Fatal("publishing discarded the frame")
+	}
+	next := tab.BeginVersion()
+	if err := next.Insert(types.Row{types.NewInt(5), types.Null(), types.Null()}); err != nil {
+		t.Fatal(err)
+	}
+	if f3 := next.Columns(); f3 == f2 || f3.Rows() != 5 {
+		t.Fatalf("successor frame rows = %d (shared with parent: %v), want its own 5-row frame", f3.Rows(), f3 == f2)
+	}
+	if tab.Columns() != f2 || f2.Rows() != 4 {
+		t.Fatal("successor's insert disturbed the published version's frame")
+	}
+}
+
+// TestPublishedVersionIsImmutable: a table gets its version ID when it is
+// published, refuses every mutation from then on, and derives unpublished
+// successors.
+func TestPublishedVersionIsImmutable(t *testing.T) {
+	tab := newTable(t)
+	if tab.Version() != 0 {
+		t.Fatalf("new table has version %d, want 0 (unpublished)", tab.Version())
+	}
+	row := types.Row{types.NewInt(1), types.Null(), types.Null()}
+	if err := tab.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	tab.Publish(3)
+	if tab.Version() != 3 {
+		t.Fatalf("Version = %d, want 3", tab.Version())
+	}
+	if err := tab.Insert(row); err == nil {
+		t.Fatal("Insert into a published version succeeded")
+	}
+	if err := tab.InsertAll([]types.Row{row}); err == nil {
+		t.Fatal("InsertAll into a published version succeeded")
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("published version has %d rows, want 1", tab.Len())
+	}
+	next := tab.BeginVersion()
+	if next.Version() != 0 || next.Len() != 1 {
+		t.Fatalf("successor: version %d, %d rows; want unpublished with the parent's row", next.Version(), next.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("publishing a version twice did not panic")
+		}
+	}()
+	tab.Publish(4)
+}
+
+// TestColumnsConcurrentReaders: readers racing on one published version's
+// first Columns() call all get the same frame (run under -race).
+func TestColumnsConcurrentReaders(t *testing.T) {
+	tab := newTable(t)
+	for i := 0; i < 2000; i++ {
+		if err := tab.Insert(types.Row{types.NewInt(int64(i)), types.NewText("n"), types.NewFloat(float64(i % 7))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Publish(1)
+	const readers = 8
+	frames := make([]*colstore.Frame, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			frames[g] = tab.Columns()
+		}(g)
+	}
+	wg.Wait()
+	for g, f := range frames {
+		if f != frames[0] {
+			t.Fatalf("reader %d got a different frame", g)
+		}
+	}
+	if frames[0].Rows() != tab.Len() {
+		t.Fatalf("frame rows = %d, want %d", frames[0].Rows(), tab.Len())
 	}
 }

@@ -122,7 +122,7 @@ func TestChaosDifferentialGate(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				served := chaosDB(t)
-				served.SetParallelism(par)
+				served.CoreOptions.Parallelism = par
 				srv := NewServer(served)
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {

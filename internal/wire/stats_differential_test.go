@@ -48,18 +48,18 @@ var statsConfigs = []statsConfig{
 func statsFleet(t *testing.T, vecOracle bool, load func(d *db.Database) error) (*db.Database, []*db.Database) {
 	t.Helper()
 	oracle := db.New()
-	oracle.SetVectorized(vecOracle)
-	oracle.SetParallelism(1)
-	oracle.SetCostBased(false)
+	oracle.CoreOptions.Vectorized = vecOracle
+	oracle.CoreOptions.Parallelism = 1
+	oracle.CoreOptions.CostBased = false
 	if err := load(oracle); err != nil {
 		t.Fatal(err)
 	}
 	cands := make([]*db.Database, len(statsConfigs))
 	for i, cfg := range statsConfigs {
 		d := db.New()
-		d.SetVectorized(cfg.vec)
-		d.SetParallelism(cfg.par)
-		d.SetCostBased(true)
+		d.CoreOptions.Vectorized = cfg.vec
+		d.CoreOptions.Parallelism = cfg.par
+		d.CoreOptions.CostBased = true
 		if err := load(d); err != nil {
 			t.Fatal(err)
 		}

@@ -33,16 +33,16 @@ type wireCandidate struct {
 func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []wireCandidate) {
 	t.Helper()
 	oracle := db.New()
-	oracle.SetVectorized(false)
-	oracle.SetParallelism(1)
+	oracle.CoreOptions.Vectorized = false
+	oracle.CoreOptions.Parallelism = 1
 	if err := load(oracle); err != nil {
 		t.Fatal(err)
 	}
 	var cands []wireCandidate
 	for _, par := range []int{1, 4} {
 		d := db.New()
-		d.SetVectorized(true)
-		d.SetParallelism(par)
+		d.CoreOptions.Vectorized = true
+		d.CoreOptions.Parallelism = par
 		if err := load(d); err != nil {
 			t.Fatal(err)
 		}

@@ -42,16 +42,16 @@ var vecConfigs = []vecConfig{
 func vecFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []*db.Database) {
 	t.Helper()
 	oracle := db.New()
-	oracle.SetVectorized(false)
-	oracle.SetParallelism(1)
+	oracle.CoreOptions.Vectorized = false
+	oracle.CoreOptions.Parallelism = 1
 	if err := load(oracle); err != nil {
 		t.Fatal(err)
 	}
 	cands := make([]*db.Database, len(vecConfigs))
 	for i, cfg := range vecConfigs {
 		d := db.New()
-		d.SetVectorized(true)
-		d.SetParallelism(cfg.par)
+		d.CoreOptions.Vectorized = true
+		d.CoreOptions.Parallelism = cfg.par
 		if cfg.cache {
 			d.EnableCache(256 << 20)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/db"
+	"resultdb/internal/storage"
 	"resultdb/internal/types"
 )
 
@@ -49,18 +50,7 @@ func Load(d *db.Database, cfg Config) error {
 	clothing.PrimaryKey = []string{"id"}
 	clothing.ForeignKeys = []catalog.ForeignKey{{Columns: []string{"pid"}, RefTable: "products", RefColumns: []string{"id"}}}
 
-	pt, err := d.CreateTable(products)
-	if err != nil {
-		return err
-	}
-	et, err := d.CreateTable(electronics)
-	if err != nil {
-		return err
-	}
-	ct, err := d.CreateTable(clothing)
-	if err != nil {
-		return err
-	}
+	pt, et, ct := storage.NewTable(products), storage.NewTable(electronics), storage.NewTable(clothing)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	electronicNames := []string{"smartphone", "laptop", "tablet", "camera", "headphones", "monitor"}
@@ -107,7 +97,7 @@ func Load(d *db.Database, cfg Config) error {
 			return err
 		}
 	}
-	return nil
+	return d.CreateTables(pt, et, ct)
 }
 
 // OuterJoinQuery is Listing 2: the single-table formulation, forced into

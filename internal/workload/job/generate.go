@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"resultdb/internal/storage"
 	"resultdb/internal/types"
 )
 
@@ -101,10 +102,6 @@ var infoNames = []string{"budget", "bottom 10 rank", "certificates", "color info
 	"genres", "gross", "languages", "locations", "mpaa", "plot", "rating", "release dates",
 	"runtimes", "sound mix", "tech info", "top 250 rank", "trivia", "votes", "taglines"}
 
-type inserter interface {
-	Insert(types.Row) error
-}
-
 func row(vals ...types.Value) types.Row { return vals }
 
 func iv(v int) types.Value    { return types.NewInt(int64(v)) }
@@ -112,7 +109,7 @@ func tv(s string) types.Value { return types.NewText(s) }
 
 // fill generates every table. Lookup tables are fixed; entity tables use
 // uniform attributes with categorical skew; fact tables use Zipf references.
-func (g *gen) fill(tables map[string]inserter) error {
+func (g *gen) fill(tables map[string]*storage.Table) error {
 	ins := func(name string, r types.Row) error {
 		if err := tables[name].Insert(r); err != nil {
 			return fmt.Errorf("job: insert into %s: %w", name, err)

@@ -17,6 +17,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/db"
+	"resultdb/internal/storage"
 	"resultdb/internal/types"
 )
 
@@ -124,19 +125,24 @@ func defs() []*catalog.TableDef {
 	}
 }
 
-// Load creates the schema and fills it with generated data.
+// Load generates the schema's data and publishes the filled tables in one
+// commit.
 func Load(d *db.Database, cfg Config) error {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	tables := make(map[string]inserter)
+	tables := make(map[string]*storage.Table)
+	var all []*storage.Table
 	for _, def := range defs() {
-		t, err := d.CreateTable(def)
-		if err != nil {
-			return fmt.Errorf("job: %w", err)
-		}
+		t := storage.NewTable(def)
 		tables[def.Name] = t
+		all = append(all, t)
 	}
-	g := newGen(cfg)
-	return g.fill(tables)
+	if err := newGen(cfg).fill(tables); err != nil {
+		return err
+	}
+	if err := d.CreateTables(all...); err != nil {
+		return fmt.Errorf("job: %w", err)
+	}
+	return nil
 }

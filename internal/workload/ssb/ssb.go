@@ -15,6 +15,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/db"
+	"resultdb/internal/storage"
 	"resultdb/internal/types"
 )
 
@@ -114,13 +115,12 @@ func Load(d *db.Database, cfg Config) error {
 		})
 	}
 
-	tabs := map[string]*tableHandle{}
+	tabs := map[string]*storage.Table{}
+	var all []*storage.Table
 	for _, def := range []*catalog.TableDef{customer, supplier, part, dates, lineorder} {
-		t, err := d.CreateTable(def)
-		if err != nil {
-			return fmt.Errorf("ssb: %w", err)
-		}
-		tabs[def.Name] = &tableHandle{insert: t.Insert}
+		t := storage.NewTable(def)
+		tabs[def.Name] = t
+		all = append(all, t)
 	}
 
 	iv := func(v int) types.Value { return types.NewInt(int64(v)) }
@@ -135,7 +135,7 @@ func Load(d *db.Database, cfg Config) error {
 
 	for i := 0; i < sizes["customer"]; i++ {
 		city, nation, region := geo()
-		err := tabs["customer"].insert(types.Row{
+		err := tabs["customer"].Insert(types.Row{
 			iv(i), tv(fmt.Sprintf("Customer#%06d", i)), tv(city), tv(nation), tv(region),
 		})
 		if err != nil {
@@ -144,7 +144,7 @@ func Load(d *db.Database, cfg Config) error {
 	}
 	for i := 0; i < sizes["supplier"]; i++ {
 		city, nation, region := geo()
-		err := tabs["supplier"].insert(types.Row{
+		err := tabs["supplier"].Insert(types.Row{
 			iv(i), tv(fmt.Sprintf("Supplier#%04d", i)), tv(city), tv(nation), tv(region),
 		})
 		if err != nil {
@@ -155,7 +155,7 @@ func Load(d *db.Database, cfg Config) error {
 		mfgr := mfgrs[rng.Intn(len(mfgrs))]
 		category := fmt.Sprintf("%s#%d", mfgr, 1+rng.Intn(5))
 		brand := fmt.Sprintf("%s#%d", category, 1+rng.Intn(8))
-		err := tabs["part"].insert(types.Row{
+		err := tabs["part"].Insert(types.Row{
 			iv(i), tv(fmt.Sprintf("part-%05d", i)), tv(mfgr), tv(category), tv(brand),
 			tv(colors[rng.Intn(len(colors))]),
 		})
@@ -167,7 +167,7 @@ func Load(d *db.Database, cfg Config) error {
 		year := 1992 + i/365
 		doy := i % 365
 		month := doy/31 + 1
-		err := tabs["dates"].insert(types.Row{
+		err := tabs["dates"].Insert(types.Row{
 			iv(i), tv(fmt.Sprintf("%04d-%03d", year, doy)), iv(year), iv(month), iv(doy/7 + 1),
 		})
 		if err != nil {
@@ -178,7 +178,7 @@ func Load(d *db.Database, cfg Config) error {
 		qty := 1 + rng.Intn(50)
 		price := 100 + rng.Intn(9900)
 		discount := rng.Intn(11)
-		err := tabs["lineorder"].insert(types.Row{
+		err := tabs["lineorder"].Insert(types.Row{
 			iv(i),
 			iv(rng.Intn(sizes["customer"])),
 			iv(rng.Intn(sizes["part"])),
@@ -191,11 +191,10 @@ func Load(d *db.Database, cfg Config) error {
 			return err
 		}
 	}
+	if err := d.CreateTables(all...); err != nil {
+		return fmt.Errorf("ssb: %w", err)
+	}
 	return nil
-}
-
-type tableHandle struct {
-	insert func(types.Row) error
 }
 
 // Query is one SSB flight instance in SPJ form.

@@ -11,6 +11,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/db"
+	"resultdb/internal/storage"
 	"resultdb/internal/types"
 )
 
@@ -37,7 +38,7 @@ func DefaultConfig() Config {
 // DimName returns the i-th dimension table name (d1, d2, ...).
 func DimName(i int) string { return fmt.Sprintf("d%d", i+1) }
 
-// Load creates and fills the schema. Each dimension d<i> has
+// Load fills the schema and publishes it in one commit. Each dimension d<i> has
 // (id, payload, val) with val uniform in [0,100); filtering val < 100*s
 // selects a fraction s of the dimension. The fact table has a foreign key
 // per dimension plus a measure.
@@ -47,6 +48,7 @@ func Load(d *db.Database, cfg Config) error {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	var tables []*storage.Table
 	for i := 0; i < cfg.Dims; i++ {
 		def := catalog.MustTableDef(DimName(i), []catalog.Column{
 			{Name: "id", Type: types.KindInt},
@@ -54,10 +56,8 @@ func Load(d *db.Database, cfg Config) error {
 			{Name: "val", Type: types.KindInt},
 		})
 		def.PrimaryKey = []string{"id"}
-		t, err := d.CreateTable(def)
-		if err != nil {
-			return err
-		}
+		t := storage.NewTable(def)
+		tables = append(tables, t)
 		for r := 0; r < cfg.DimRows; r++ {
 			// val is a permutation-free uniform draw; using r mod 100 keeps
 			// selectivity exact for DimRows <= 100.
@@ -86,10 +86,8 @@ func Load(d *db.Database, cfg Config) error {
 			Columns: []string{DimName(i) + "_id"}, RefTable: DimName(i), RefColumns: []string{"id"},
 		})
 	}
-	fact, err := d.CreateTable(fdef)
-	if err != nil {
-		return err
-	}
+	fact := storage.NewTable(fdef)
+	tables = append(tables, fact)
 
 	// Cartesian product of the dimensions (the paper's worst case).
 	idx := make([]int, cfg.Dims)
@@ -116,7 +114,7 @@ func Load(d *db.Database, cfg Config) error {
 			pos--
 		}
 		if pos < 0 {
-			return nil
+			return d.CreateTables(tables...)
 		}
 	}
 }

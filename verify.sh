@@ -7,7 +7,8 @@
 # uncached rerun at GOMAXPROCS=1 and 4 of the packages whose goldens must not
 # depend on the host's CPU count, the race detector
 # over the concurrency-sensitive packages (the morsel-parallel execution
-# layer, the columnar store, their consumers, the tracer, the result cache,
+# layer, the columnar store, the table versions that cache its frames, their
+# consumers, the tracer, the result cache,
 # and the wire server/client stress tests), the vectorized differential gate
 # (colstore execution byte-identical to the row-path oracle across
 # parallelism degrees and cache settings), the wire v2 differential gate
@@ -53,8 +54,8 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/db ./internal/core ./internal/trace ./internal/wire
 done
 
-echo "== go test -race (parallel, colstore, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
-go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/engine \
+echo "== go test -race (parallel, colstore, storage, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
+go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/storage ./internal/engine \
 	./internal/core ./internal/bloom ./internal/stats ./internal/trace ./internal/db \
 	./internal/cache ./internal/wire ./internal/faultnet ./internal/client \
 	./internal/wal ./internal/snapshot ./internal/durable
