@@ -229,7 +229,7 @@ func BenchmarkSingleTable16b(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.DB.Query(sel); err != nil {
+		if _, err := e.DB.NewSession().Query(sel); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -474,7 +474,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := e.DB.QueryResultDB(sel, db.ModeRDBRP)
+	res, err := e.DB.NewSession().QueryResultDB(sel, db.ModeRDBRP)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func BenchmarkPostJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := e.DB.QueryResultDB(sel, db.ModeRDBRP)
+	res, err := e.DB.NewSession().QueryResultDB(sel, db.ModeRDBRP)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -917,7 +917,7 @@ func writeTraces(env *bench.Env, names []string, path string) error {
 			return fmt.Errorf("query %s: %w", q.Name, err)
 		}
 		sel.ResultDB = true
-		_, tr, err := env.DB.QueryWithTrace(sel)
+		_, tr, err := env.DB.NewSession().QueryWithTrace(sel)
 		if err != nil {
 			return fmt.Errorf("query %s: %w", q.Name, err)
 		}

@@ -131,7 +131,7 @@ func TestPreloadAndCSV(t *testing.T) {
 	if err := loadCSVDir(d2, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d2.QuerySQL("SELECT x.id FROM x AS x")
+	res, err := d2.Exec("SELECT x.id FROM x AS x")
 	if err != nil || res.First().NumRows() != 1 {
 		t.Errorf("csv table not loaded: %v %v", res, err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	}
 
 	// Listing 2: single-table formulation with OUTER JOINs.
-	outer, err := d.QuerySQL(hierarchy.OuterJoinQuery)
+	outer, err := d.Exec(hierarchy.OuterJoinQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func main() {
 		set.NumRows(), len(set.Columns), outer.WireSize(), nulls)
 
 	// RESULTDB formulation: one clean relation per subtype.
-	elec, err := d.QuerySQL(hierarchy.ResultDBElectronics)
+	elec, err := d.Exec(hierarchy.ResultDBElectronics)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cloth, err := d.QuerySQL(hierarchy.ResultDBClothing)
+	cloth, err := d.Exec(hierarchy.ResultDBClothing)
 	if err != nil {
 		log.Fatal(err)
 	}

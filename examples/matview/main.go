@@ -61,7 +61,7 @@ func main() {
 
 	// The stored views are ordinary tables: filter one directly — much
 	// cheaper than scanning the wide flat view.
-	cnt, err := d.QuerySQL("SELECT COUNT(*) FROM norm_mv_cn AS v WHERE v.name LIKE '%Pictures%'")
+	cnt, err := d.Exec("SELECT COUNT(*) FROM norm_mv_cn AS v WHERE v.name LIKE '%Pictures%'")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func main() {
 	// are set-based (Section 2.2), so we compare DISTINCT results — the
 	// flat view may carry exact-duplicate rows (e.g. a company linked to
 	// the same movie in two roles) that set semantics collapses.
-	post, err := d.QuerySQL(`
+	post, err := d.Exec(`
 SELECT DISTINCT t.title, cn.name, mi.info
 FROM norm_mv_t AS t, norm_mv_mc AS mc, norm_mv_cn AS cn, norm_mv_mi AS mi
 WHERE mc.company_id = cn.id AND mc.movie_id = t.id AND mi.movie_id = t.id`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	distinctFlat, err := d.QuerySQL("SELECT DISTINCT f.title, f.company, f.info FROM flat_mv AS f")
+	distinctFlat, err := d.Exec("SELECT DISTINCT f.title, f.company, f.info FROM flat_mv AS f")
 	if err != nil {
 		log.Fatal(err)
 	}

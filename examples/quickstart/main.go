@@ -37,14 +37,14 @@ func main() {
 	}
 
 	fmt.Println("== single-table result (classic SQL, denormalized) ==")
-	st, err := d.QuerySQL(query)
+	st, err := d.Exec(query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	printResult(st)
 
 	fmt.Println("\n== SELECT RESULTDB (the subdatabase: no redundancy, no information loss) ==")
-	rdb, err := d.QuerySQL("SELECT RESULTDB c.name, p.name, p.category FROM customers AS c, orders AS o, products AS p WHERE c.state = 'NY' AND c.id = o.cid AND p.id = o.pid")
+	rdb, err := d.Exec("SELECT RESULTDB c.name, p.name, p.category FROM customers AS c, orders AS o, products AS p WHERE c.state = 'NY' AND c.id = o.cid AND p.id = o.pid")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,18 +46,18 @@ func Fig7(cfg star.Config, selectivities []float64) ([]StarPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := d.Query(full)
+		st, err := d.NewSession().Query(full)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig7 ST s=%.1f: %w", s, err)
 		}
 		// RDBRP keeps key information (paper: "both Single Table and RDBRP
 		// include this key information"), so it runs on the full query.
-		rdbrp, err := d.QueryResultDB(full, db.ModeRDBRP)
+		rdbrp, err := d.NewSession().QueryResultDB(full, db.ModeRDBRP)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig7 RDBRP s=%.1f: %w", s, err)
 		}
 		// RDB projects only the payloads: no primary or foreign keys.
-		rdb, err := d.QueryResultDB(payload, db.ModeRDB)
+		rdb, err := d.NewSession().QueryResultDB(payload, db.ModeRDB)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig7 RDB s=%.1f: %w", s, err)
 		}

@@ -35,7 +35,7 @@ func (e *Env) AblationJoinOrder(names []string) ([]JoinOrderRow, error) {
 
 		e.DB.DPJoinOrder = false
 		row.Greedy, err = median(e.Reps, func() error {
-			_, err := e.DB.Query(sel)
+			_, err := e.DB.NewSession().Query(sel)
 			return err
 		})
 		if err != nil {
@@ -44,7 +44,7 @@ func (e *Env) AblationJoinOrder(names []string) ([]JoinOrderRow, error) {
 
 		e.DB.DPJoinOrder = true
 		row.DP, err = median(e.Reps, func() error {
-			_, err := e.DB.Query(sel)
+			_, err := e.DB.NewSession().Query(sel)
 			return err
 		})
 		if err != nil {

@@ -49,7 +49,7 @@ func SSB(cfg ssb.Config, reps int) ([]SSBRow, error) {
 
 		var st *db.Result
 		row.STTime, err = median(reps, func() error {
-			st, err = d.Query(sel)
+			st, err = d.NewSession().Query(sel)
 			return err
 		})
 		if err != nil {
@@ -60,7 +60,7 @@ func SSB(cfg ssb.Config, reps int) ([]SSBRow, error) {
 
 		var rdb *db.Result
 		row.RDBTime, err = median(reps, func() error {
-			rdb, err = d.QueryResultDB(sel, db.ModeRDB)
+			rdb, err = d.NewSession().QueryResultDB(sel, db.ModeRDB)
 			return err
 		})
 		if err != nil {
@@ -69,7 +69,7 @@ func SSB(cfg ssb.Config, reps int) ([]SSBRow, error) {
 		row.RDB = rdb.WireSize()
 		row.Relations = len(rdb.Sets)
 
-		rdbrp, err := d.QueryResultDB(sel, db.ModeRDBRP)
+		rdbrp, err := d.NewSession().QueryResultDB(sel, db.ModeRDBRP)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ssb %s RDBRP: %w", q.Name, err)
 		}

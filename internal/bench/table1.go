@@ -42,15 +42,15 @@ func (e *Env) Table1(queries []string) ([]SizeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := e.DB.Query(sel)
+		st, err := e.DB.NewSession().Query(sel)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s ST: %w", name, err)
 		}
-		rdbrp, err := e.DB.QueryResultDB(sel, db.ModeRDBRP)
+		rdbrp, err := e.DB.NewSession().QueryResultDB(sel, db.ModeRDBRP)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s RDBRP: %w", name, err)
 		}
-		rdb, err := e.DB.QueryResultDB(sel, db.ModeRDB)
+		rdb, err := e.DB.NewSession().QueryResultDB(sel, db.ModeRDB)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s RDB: %w", name, err)
 		}

@@ -36,7 +36,7 @@ func (e *Env) Table2(fig8 []RMTiming) ([]OverheadRow, error) {
 			return nil, err
 		}
 		st, err := median(e.Reps, func() error {
-			_, err := e.DB.Query(sel)
+			_, err := e.DB.NewSession().Query(sel)
 			return err
 		})
 		if err != nil {

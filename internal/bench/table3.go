@@ -54,7 +54,7 @@ func (e *Env) Table3(names []string, tm wire.TransferModel) ([]EndToEndRow, erro
 		// Single table: execution + transfer of the denormalized result.
 		var stRes *db.Result
 		row.STExec, err = median(e.Reps, func() error {
-			stRes, err = e.DB.Query(sel)
+			stRes, err = e.DB.NewSession().Query(sel)
 			return err
 		})
 		if err != nil {

@@ -191,7 +191,7 @@ func TestPostJoinPlanShipping(t *testing.T) {
 		WHERE c.state = 'NY' AND c.id = o.cid AND p.id = o.pid`
 	// Ground truth from the classic query.
 	want := map[string]int{}
-	st, err := d.QuerySQL("SELECT c.name, p.name, p.category " + query)
+	st, err := d.Exec("SELECT c.name, p.name, p.category " + query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,11 +102,11 @@ func TestWorkloadRoundTrip(t *testing.T) {
 		}
 	}
 	q := "SELECT COUNT(*) FROM products AS p, electronics AS e WHERE p.id = e.pid AND p.price < 500"
-	a, err := src.QuerySQL(q)
+	a, err := src.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dst.QuerySQL(q)
+	b, err := dst.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (*Result, error
 	key := cacheKey(ec, sel)
 	tables := sqlparse.Tables(sel)
 	res, _, err := d.resultCache.DoAt(key, tables, ec.snap.st.versionOf, func() (*Result, int64, error) {
-		r, err := d.queryUncached(ec, sel, nil)
+		r, err := d.queryUncached(ec, sel, nil, nil)
 		if err != nil {
 			return nil, 0, err
 		}

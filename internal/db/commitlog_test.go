@@ -76,7 +76,7 @@ func TestCommitLogSkipsReadsAndFailures(t *testing.T) {
 	log := &fakeLog{}
 	d.SetCommitLog(log)
 	// Reads never touch the log.
-	if _, err := d.QuerySQL("SELECT t.id FROM t AS t"); err != nil {
+	if _, err := d.Exec("SELECT t.id FROM t AS t"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Exec("EXPLAIN SELECT t.id FROM t AS t"); err != nil {
@@ -126,13 +126,13 @@ func TestWritePathAllocFreeWhenOff(t *testing.T) {
 	sqlText := "INSERT INTO t VALUES (1)"
 	st := mustParse(t, sqlText)
 	offAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := off.ExecStatement(st); err != nil {
+		if _, err := off.NewSession().ExecStatement(st); err != nil {
 			t.Fatal(err)
 		}
 	})
 	on := build(&fakeLog{})
 	onAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := on.ExecStatement(st); err != nil {
+		if _, err := on.NewSession().ExecStatement(st); err != nil {
 			t.Fatal(err)
 		}
 	})

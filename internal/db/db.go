@@ -52,11 +52,12 @@ const (
 // (copy-on-write) storage. Reads and writes are safe for concurrent use and
 // never block each other:
 //
-//   - Every read entry point (Query, QueryWithTrace, ExecStream, EXPLAIN,
-//     ANALYZE) pins an immutable published state with one atomic load
-//     (Snapshot) and then executes, fills caches, traces, and wire-encodes
-//     entirely lock-free. A reader always sees some committed state — never
-//     a half-applied batch — no matter how many writers race it.
+//   - Every statement runs through a Session (Exec and ExecScript open a
+//     fresh one). A read pins an immutable published state with one atomic
+//     load (Snapshot) and then executes, fills caches, traces, and
+//     wire-encodes entirely lock-free. A reader always sees some committed
+//     state — never a half-applied batch — no matter how many writers race
+//     it.
 //   - Mutation statements serialize on the writer lock, apply their batch to
 //     copy-on-write drafts, append to the commit log (when installed), and
 //     publish the successor state with one atomic store. A failed batch
@@ -98,7 +99,6 @@ type Database struct {
 	// own mutex because concurrent lock-free readers share it.
 	planMu       sync.Mutex
 	planVerdicts map[string]planVerdict
-	planKeys     map[*sqlparse.Select]planKeyMemo
 
 	// commitLog, when set, records every successful mutation statement
 	// before it is published or acknowledged (see CommitLog). Nil when
@@ -173,19 +173,6 @@ type execCtx struct {
 	opts        core.Options
 	strategy    Strategy
 	dpJoinOrder bool
-}
-
-// readCtx pins the newest committed state and captures the database-level
-// options for one read statement.
-func (d *Database) readCtx() execCtx {
-	snap := d.Snapshot()
-	return execCtx{
-		src:         snap,
-		snap:        snap,
-		opts:        d.CoreOptions,
-		strategy:    d.Strategy,
-		dpJoinOrder: d.DPJoinOrder,
-	}
 }
 
 // txnCtx builds the execution context for reads running inside a write
@@ -367,60 +354,28 @@ func (d *Database) CreateTables(tables ...*storage.Table) error {
 	return nil
 }
 
-// Exec parses and executes a single SQL statement.
+// Exec parses and executes a single SQL statement in a fresh session.
 func (d *Database) Exec(sql string) (*Result, error) {
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := st.(*sqlparse.Select); ok {
-		sel.Src = sql
-	}
-	return d.ExecStatement(st)
+	return d.NewSession().Exec(sql)
 }
 
-// ExecScript executes a semicolon-separated script, returning one result per
-// statement. Execution stops at the first error.
+// ExecScript executes a semicolon-separated script in one fresh session,
+// returning one result per statement. Execution stops at the first error.
 func (d *Database) ExecScript(sql string) ([]*Result, error) {
 	stmts, err := sqlparse.ParseScript(sql)
 	if err != nil {
 		return nil, err
 	}
+	s := d.NewSession()
 	out := make([]*Result, 0, len(stmts))
 	for _, st := range stmts {
-		r, err := d.ExecStatement(st)
+		r, err := s.ExecStatement(st)
 		if err != nil {
 			return out, fmt.Errorf("db: statement %q: %w", st.SQL(), err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// ExecStatement executes a parsed statement. A panic anywhere in execution
-// is confined to the statement and surfaces as an error, so one poisoned
-// query cannot take down an embedding process or server.
-func (d *Database) ExecStatement(st sqlparse.Statement) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
-	switch s := st.(type) {
-	case *sqlparse.Select:
-		return d.Query(s)
-	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
-		*sqlparse.DropMaterializedView, *sqlparse.Insert:
-		return d.execMutation(st)
-	case *sqlparse.Explain:
-		return d.execExplain(s)
-	case *sqlparse.Analyze:
-		return d.execAnalyze(s)
-	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
-		return &Result{}, nil
-	default:
-		return nil, fmt.Errorf("db: unsupported statement %T", st)
-	}
 }
 
 // execMutation applies one DML/DDL statement and, when a commit log is

@@ -56,7 +56,7 @@ func rowsToStrings(rows []types.Row) []string {
 
 func TestSingleTablePaperExample(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL(listing1)
+	res, err := d.Exec(listing1)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestResultDBPaperExample(t *testing.T) {
 	for _, strategy := range []Strategy{StrategySemiJoin, StrategyDecompose} {
 		d := paperExample(t)
 		d.Strategy = strategy
-		res, err := d.QuerySQL(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
+		res, err := d.Exec(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
 		if err != nil {
 			t.Fatalf("strategy %d: %v", strategy, err)
 		}
@@ -108,7 +108,7 @@ func TestResultDBPaperExample(t *testing.T) {
 func TestResultDBRelationshipPreservingAndPostJoin(t *testing.T) {
 	d := paperExample(t)
 	sel := mustSelect(t, listing1)
-	res, err := d.QueryResultDB(sel, ModeRDBRP)
+	res, err := d.NewSession().QueryResultDB(sel, ModeRDBRP)
 	if err != nil {
 		t.Fatalf("rdbrp: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestResultDBRelationshipPreservingAndPostJoin(t *testing.T) {
 	// The o relation is not projected, so the post-join cannot recreate the
 	// c-o-p connection without it; the paper's definition keeps any
 	// relation whose join attributes are required (A_i* non-empty).
-	single, err := d.QuerySQL(listing1)
+	single, err := d.Exec(listing1)
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}

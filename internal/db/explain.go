@@ -1,17 +1,15 @@
 package db
 
 import (
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
 
-// execExplain implements EXPLAIN [ANALYZE] <select>. The engine is
+// explain implements EXPLAIN [ANALYZE] <select>. The engine is
 // main-memory and materializing, so EXPLAIN executes the plan and reports
 // actual cardinalities per step. Both forms render from the same structured
-// trace that db.QueryWithTrace returns — there is exactly one plan-rendering
-// path:
+// trace that Session.QueryWithTrace returns — there is exactly one
+// plan-rendering path:
 //
 //   - EXPLAIN prints the compact classic plan (fully deterministic: one line
 //     per step with actual cardinalities, no timings).
@@ -22,41 +20,20 @@ import (
 //
 // For RESULTDB queries the plan reports the join-graph analysis, folds, root
 // choice, and the semi-join schedule of Algorithm 4.
-func (d *Database) execExplain(ex *sqlparse.Explain) (*Result, error) {
-	return d.execExplainAt(d.readCtx(), ex)
-}
-
-// execExplainAt is execExplain against an explicit execution context
-// (sessions pass their pinned view and private options).
-func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, error) {
-	tr := trace.New(ex.Query.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	if ec.snap != nil {
-		tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	}
-	if _, err := d.query(ec, ex.Query, tr); err != nil {
+func (d *Database) explain(ec execCtx, ex *sqlparse.Explain) (*Result, error) {
+	_, tr, err := d.query(ec, ex.Query, true, nil)
+	if err != nil {
 		return nil, err
 	}
-	snap := tr.Finish()
 	var lines []string
 	if ex.Analyze {
-		lines = snap.TreeLines()
+		lines = tr.TreeLines()
 	} else {
-		lines = snap.CompactLines()
+		lines = tr.CompactLines()
 	}
 	set := &ResultSet{Name: "plan", Columns: []string{"plan"}}
 	for _, l := range lines {
 		set.Rows = append(set.Rows, types.Row{types.NewText(l)})
 	}
 	return &Result{Sets: []*ResultSet{set}}, nil
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }

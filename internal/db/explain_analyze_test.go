@@ -124,7 +124,7 @@ func TestExplainSharesRenderPathWithQueryWithTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, tr, err := d.QueryWithTrace(sel)
+		_, tr, err := d.NewSession().QueryWithTrace(sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
 package db
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-// A panic escaping from streaming callbacks (or anything below ExecStream /
-// ExecStatement) must surface as a statement error, not crash the process:
+// A panic escaping from streaming callbacks (or anything below the session's
+// statement path) must surface as a statement error, not crash the process:
 // the wire server runs arbitrary client statements on shared goroutines.
 
 func panicTestDB(t *testing.T) *Database {
@@ -22,7 +23,7 @@ INSERT INTO t VALUES (1, 'a'), (2, 'b');`); err != nil {
 
 func TestExecStreamConfinesBeginPanic(t *testing.T) {
 	d := panicTestDB(t)
-	_, err := d.ExecStream("SELECT id, v FROM t",
+	_, err := d.NewSession().ExecStream("SELECT id, v FROM t",
 		func(StreamMeta) error { panic("consumer exploded in begin") },
 		func(*ResultSet) error { return nil })
 	if err == nil {
@@ -30,6 +31,9 @@ func TestExecStreamConfinesBeginPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("panic surfaced as %q, want an internal-error statement error", err)
+	}
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("panic surfaced as %q, which does not wrap ErrInternal", err)
 	}
 	// The database is still usable afterwards.
 	if _, err := d.Exec("SELECT id FROM t"); err != nil {
@@ -39,7 +43,7 @@ func TestExecStreamConfinesBeginPanic(t *testing.T) {
 
 func TestExecStreamConfinesEmitPanic(t *testing.T) {
 	d := panicTestDB(t)
-	_, err := d.ExecStream("SELECT id, v FROM t",
+	_, err := d.NewSession().ExecStream("SELECT id, v FROM t",
 		func(StreamMeta) error { return nil },
 		func(*ResultSet) error { panic("consumer exploded in emit") })
 	if err == nil {
@@ -47,6 +51,9 @@ func TestExecStreamConfinesEmitPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("panic surfaced as %q, want an internal-error statement error", err)
+	}
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("panic surfaced as %q, which does not wrap ErrInternal", err)
 	}
 	if _, err := d.Exec("SELECT id FROM t"); err != nil {
 		t.Fatalf("database unusable after confined panic: %v", err)

@@ -1,13 +1,17 @@
 package db
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"resultdb/internal/sqlparse"
 )
 
 func TestPostJoinPlanAttachedAndExecutable(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL("SELECT RESULTDB PRESERVING" + listing1[len("\nSELECT"):])
+	sql := "SELECT RESULTDB PRESERVING" + listing1[len("\nSELECT"):]
+	res, err := d.Exec(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,18 +28,29 @@ func TestPostJoinPlanAttachedAndExecutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := d.QuerySQL(listing1)
+	single, err := d.Exec(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.NumRows() != single.First().NumRows() {
 		t.Errorf("plan execution rows = %d, want %d", set.NumRows(), single.First().NumRows())
 	}
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := d.PostJoin(sel, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(derived.Columns, derived.Rows) != fmt.Sprint(set.Columns, set.Rows) {
+		t.Errorf("PostJoin = %v %v, shipped plan = %v %v", derived.Columns, derived.Rows, set.Columns, set.Rows)
+	}
 }
 
 func TestPostJoinPlanAbsentForRDB(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
+	res, err := d.Exec(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +74,12 @@ func TestPostJoinPlanNilHelpers(t *testing.T) {
 
 func TestDPJoinOrderProducesSameResults(t *testing.T) {
 	d := paperExample(t)
-	a, err := d.QuerySQL(listing1)
+	a, err := d.Exec(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.DPJoinOrder = true
-	b, err := d.QuerySQL(listing1)
+	b, err := d.Exec(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,65 +38,19 @@ type planVerdict struct {
 	diverged bool
 }
 
-// planKeyMemo caches one statement's rendered verdict key. Clients that
-// re-execute a parsed *Select (benchmark loops, prepared-statement-style
-// reuse) would otherwise pay the SQL render — a few microseconds on wide
-// JOB queries, which is the same order as the whole planning overhead the
-// verdict cache exists to remove. The memo is validated against the
-// fields a caller could plausibly mutate between executions (the WHERE
-// root pointer, FROM arity, and the mode flags); a stale or colliding
-// memo can only misdirect the stats-skip decision, never the results —
-// both the cost-based and the heuristic path compute the same bytes.
-type planKeyMemo struct {
-	where      sqlparse.Expr
-	from       int
-	resultdb   bool
-	preserving bool
-	distinct   bool
-	key        string
-}
-
-// planKey returns the verdict-cache key for sel: the raw source text when
-// the parser recorded it (zero cost), else the rendered SQL memoized per
-// statement object. The execution mode is appended by the caller — the
+// planKey returns the verdict-cache key for sel executed in mode: the raw
+// source text the parser recorded (zero cost), else the rendered SQL. The
 // same statement in RDB vs RDBRP mode has different outputs and hence a
 // different early-stop surface, so the two must not share a verdict.
-func (d *Database) planKey(sel *sqlparse.Select) string {
-	if sel.Src != "" {
-		return sel.Src
+func planKey(sel *sqlparse.Select, mode Mode) string {
+	key := sel.Src
+	if key == "" {
+		key = sel.SQL()
 	}
-	d.planMu.Lock()
-	m, ok := d.planKeys[sel]
-	d.planMu.Unlock()
-	if ok && m.where == sel.Where && m.from == len(sel.From) &&
-		m.resultdb == sel.ResultDB && m.preserving == sel.Preserving && m.distinct == sel.Distinct {
-		return m.key
-	}
-	key := sel.SQL()
-	d.planMu.Lock()
-	if d.planKeys == nil || len(d.planKeys) >= planVerdictCap {
-		d.planKeys = make(map[*sqlparse.Select]planKeyMemo, 64)
-	}
-	d.planKeys[sel] = planKeyMemo{
-		where:      sel.Where,
-		from:       len(sel.From),
-		resultdb:   sel.ResultDB,
-		preserving: sel.Preserving,
-		distinct:   sel.Distinct,
-		key:        key,
-	}
-	d.planMu.Unlock()
-	return key
-}
-
-// modeKeySuffix disambiguates verdicts of the same statement text executed
-// in different subdatabase modes (QueryResultDB can force either mode on
-// the same parsed statement).
-func modeKeySuffix(mode Mode) string {
 	if mode == ModeRDBRP {
-		return "\x00rp"
+		key += "\x00rp"
 	}
-	return ""
+	return key
 }
 
 // planConfirmedHeuristic reports whether a previous cost-based execution of

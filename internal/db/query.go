@@ -14,90 +14,67 @@ import (
 	"resultdb/internal/types"
 )
 
-// Query executes a SELECT. SELECT RESULTDB returns one result set per output
-// relation (Definition 2.2); everything else returns a single-table result.
-// The statement runs lock-free against a snapshot pinned at entry.
-func (d *Database) Query(sel *sqlparse.Select) (*Result, error) {
-	return d.query(d.readCtx(), sel, nil)
-}
-
-// QueryWithTrace executes a SELECT with execution tracing enabled and returns
-// the result together with the structured trace (per-operator spans with
-// actual cardinalities, wall times, and transfer bytes). The result is
-// bit-identical to Query's; tracing only observes.
-func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, error) {
-	ec := d.readCtx()
-	tr := trace.New(sel.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := d.query(ec, sel, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr.Finish(), nil
-}
-
-// query dispatches a SELECT with an optional tracer (nil = disabled),
-// consulting the semantic result cache when enabled:
+// query runs a SELECT, the only SELECT dispatch: traced asks for the
+// execution trace (EXPLAIN, QueryWithTrace) and a non-nil sink receives the
+// result as a stream. It consults the semantic result cache when enabled:
 //
 //   - Untraced queries go through the full cache path (lookup, single-flight
-//     collapse of identical concurrent misses, fill) in queryCached.
-//   - Traced queries (EXPLAIN, EXPLAIN ANALYZE, QueryWithTrace) always
-//     execute — a trace without operator spans would be useless — but probe
-//     the cache to annotate the plan with the would-be outcome ("cache: hit"
-//     or "cache: miss" in the strippable bracket section) and fill it, so
-//     EXPLAIN warms the cache for the statement it explains.
+//     collapse of identical concurrent misses, fill) in queryCached; a
+//     cached result reaches the sink as a replay.
+//   - Traced queries always execute — a trace without operator spans would
+//     be useless — but probe the cache to annotate the plan with the
+//     would-be outcome ("cache: hit" or "cache: miss" in the strippable
+//     bracket section) and fill it, so EXPLAIN warms the cache for the
+//     statement it explains.
 //
 // All cache traffic is keyed on the snapshot's table versions: an entry is
 // served only when it embeds exactly the state this reader pinned, and a
 // fill is admitted only when no writer published past the snapshot while
 // the query ran (see queryCached).
-func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
-	if ec.opts.ResultCache && ec.snap != nil {
-		if !tr.Enabled() {
-			return d.queryCached(ec, sel)
+func (d *Database) query(ec execCtx, sel *sqlparse.Select, traced bool, sink *streamSink) (*Result, *trace.Trace, error) {
+	var tr *trace.Tracer
+	if traced {
+		tr = trace.New(sel.SQL())
+		tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
+		tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
+	}
+	var res *Result
+	var err error
+	switch {
+	case !ec.opts.ResultCache:
+		res, err = d.queryUncached(ec, sel, tr, sink)
+	case !traced:
+		if res, err = d.queryCached(ec, sel); err == nil {
+			err = sink.replay(res)
 		}
+	default:
 		key := cacheKey(ec, sel)
 		if _, ok := d.resultCache.PeekAt(key, sqlparse.Tables(sel), ec.snap.st.versionOf); ok {
 			tr.SetCacheStatus("hit")
 		} else {
 			tr.SetCacheStatus("miss")
 		}
-		res, err := d.queryUncached(ec, sel, tr)
-		if err == nil {
+		if res, err = d.queryUncached(ec, sel, tr, sink); err == nil {
 			d.resultCache.PutAt(key, res, cachedResultBytes(res), sqlparse.Tables(sel), ec.snap.st.versionOf)
 		}
-		return res, err
 	}
-	return d.queryUncached(ec, sel, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tr.Finish(), nil
 }
 
-// queryUncached always executes, bypassing the result cache.
-func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
+// queryUncached always executes, bypassing the result cache, in the mode
+// the statement's RESULTDB/PRESERVING flags select.
+func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer, sink *streamSink) (*Result, error) {
 	if sel.ResultDB {
 		mode := ModeRDB
 		if sel.Preserving {
 			mode = ModeRDBRP
 		}
-		return d.queryResultDBAt(ec, sel, mode, tr, nil)
+		return d.queryResultDBAt(ec, sel, mode, tr, sink)
 	}
-	return d.querySingleTableAt(ec, sel, tr, nil)
-}
-
-// QuerySQL parses and executes a SELECT given as text.
-func (d *Database) QuerySQL(sql string) (*Result, error) {
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	return d.Query(sel)
-}
-
-// QueryResultDB executes sel with subdatabase semantics regardless of the
-// RESULTDB keyword, in the requested mode (RDB per Definition 2.2, RDBRP per
-// Definition 2.3). This is the programmatic entry the benchmarks use.
-func (d *Database) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return d.queryResultDBAt(d.readCtx(), sel, mode, nil, nil)
+	return d.querySingleTableAt(ec, sel, tr, sink)
 }
 
 func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer, sink *streamSink) (*Result, error) {
@@ -229,12 +206,12 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 				// shows the cost-based decisions; they bypass the verdict
 				// cache in both directions.
 				opts.TableStats = d.aliasStats(ec, spec)
-			case d.planConfirmedHeuristic(ec.src, d.planKey(sel)+modeKeySuffix(mode), spec):
+			case d.planConfirmedHeuristic(ec.src, planKey(sel, mode), spec):
 				// A prior cost-based run of this statement at these table
 				// versions produced exactly the heuristic plan; skip the
 				// statistics machinery and take that plan directly.
 			default:
-				verdictKey = d.planKey(sel) + modeKeySuffix(mode)
+				verdictKey = planKey(sel, mode)
 				opts.TableStats = d.aliasStats(ec, spec)
 			}
 		}
@@ -282,39 +259,21 @@ func (d *Database) aliasStats(ec execCtx, spec *engine.SPJSpec) map[string]*stat
 }
 
 // PostJoin reconstructs the single-table result from a previously computed
-// relationship-preserving subdatabase result (Definition 2.3). sets must
-// come from QueryResultDB(sel, ModeRDBRP) of the same query.
+// relationship-preserving subdatabase result (Definition 2.3): it derives
+// the post-join plan of sel over the returned sets and executes it. res
+// must come from Session.QueryResultDB(sel, ModeRDBRP) of the same query.
 func (d *Database) PostJoin(sel *sqlparse.Select, res *Result) (*ResultSet, error) {
 	spec, err := engine.AnalyzeSPJ(stripResultDB(sel), d.Snapshot())
 	if err != nil {
 		return nil, err
 	}
-	rels := make(map[string]*engine.Relation)
-	var preds []engine.JoinPred
-	inResult := map[string]bool{}
-	for _, set := range res.Sets {
-		inResult[strings.ToLower(set.Name)] = true
-		rels[strings.ToLower(set.Name)] = setToRelation(set)
+	outputs := make([]string, len(res.Sets))
+	for i, set := range res.Sets {
+		outputs[i] = set.Name
 	}
-	// Only join predicates whose both sides are present can (and need to)
-	// be replayed; predicates through non-output relations were already
-	// enforced by the reduction.
-	for _, p := range spec.JoinPreds {
-		if inResult[strings.ToLower(p.LeftRel)] && inResult[strings.ToLower(p.RightRel)] {
-			preds = append(preds, p)
-		}
-	}
-	var projection []engine.Attr
-	for _, a := range spec.Projection {
-		if inResult[strings.ToLower(a.Rel)] {
-			projection = append(projection, a)
-		}
-	}
-	rel, err := core.PostJoin(preds, rels, projection)
-	if err != nil {
-		return nil, err
-	}
-	return relToSet("postjoin", rel, rel.ColumnNames()), nil
+	planned := *res
+	planned.PostJoinPlan = buildPostJoinPlan(spec, outputs)
+	return ExecutePostJoinPlan(&planned)
 }
 
 // stripResultDB returns sel with the ResultDB flag cleared (shallow copy),

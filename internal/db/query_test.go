@@ -85,7 +85,7 @@ func TestMaterializedViewContents(t *testing.T) {
 		t.Errorf("mv rows = %d, want 3", res.Affected)
 	}
 	// The MV is queryable like a table.
-	out, err := d.QuerySQL("SELECT DISTINCT mv.cname FROM mv AS mv")
+	out, err := d.Exec("SELECT DISTINCT mv.cname FROM mv AS mv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMaterializedViewContents(t *testing.T) {
 	if _, err := d.Exec("INSERT INTO orders VALUES (2, 3)"); err != nil {
 		t.Fatal(err)
 	}
-	out2, _ := d.QuerySQL("SELECT COUNT(*) FROM mv AS mv")
+	out2, _ := d.Exec("SELECT COUNT(*) FROM mv AS mv")
 	if out2.First().Rows[0][0].Int() != 3 {
 		t.Error("materialized view is not a snapshot")
 	}
@@ -120,7 +120,7 @@ func TestResultDBMaterializedView(t *testing.T) {
 			t.Errorf("missing view %s in %s", want, joined)
 		}
 	}
-	out, err := d.QuerySQL("SELECT COUNT(*) FROM sub_c AS v")
+	out, err := d.Exec("SELECT COUNT(*) FROM sub_c AS v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestResultDBMaterializedView(t *testing.T) {
 
 func TestResultDBSingleRelation(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL("SELECT RESULTDB c.name FROM customers AS c WHERE c.state = 'NY'")
+	res, err := d.Exec("SELECT RESULTDB c.name FROM customers AS c WHERE c.state = 'NY'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestResultDBDeduplicates(t *testing.T) {
 	// Projection to a non-key column must dedup (set semantics of
 	// Definition 2.2).
 	d := paperExample(t)
-	res, err := d.QuerySQL("SELECT RESULTDB p.category FROM products AS p, orders AS o WHERE p.id = o.pid")
+	res, err := d.Exec("SELECT RESULTDB p.category FROM products AS p, orders AS o WHERE p.id = o.pid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestResultDBDeduplicates(t *testing.T) {
 func TestResultDBCrossProductFallsBackToDecompose(t *testing.T) {
 	d := paperExample(t)
 	d.Strategy = StrategySemiJoin
-	res, err := d.QuerySQL("SELECT RESULTDB c.name, p.name FROM customers AS c, products AS p WHERE c.state = 'CA' AND p.category = 'clothing'")
+	res, err := d.Exec("SELECT RESULTDB c.name, p.name FROM customers AS c, products AS p WHERE c.state = 'CA' AND p.category = 'clothing'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestResultDBCrossProductFallsBackToDecompose(t *testing.T) {
 
 func TestResultDBResidualPredicateFallsBack(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL(`SELECT RESULTDB c.name, p.name FROM customers AS c, orders AS o, products AS p
+	res, err := d.Exec(`SELECT RESULTDB c.name, p.name FROM customers AS c, orders AS o, products AS p
 		WHERE c.id = o.cid AND p.id = o.pid AND c.id + p.id > 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestResultDBResidualPredicateFallsBack(t *testing.T) {
 		t.Error("residual queries must use the decompose path")
 	}
 	// Oracle: decompose of the single-table result.
-	single, err := d.QuerySQL(`SELECT c.name, p.name FROM customers AS c, orders AS o, products AS p
+	single, err := d.Exec(`SELECT c.name, p.name FROM customers AS c, orders AS o, products AS p
 		WHERE c.id = o.cid AND p.id = o.pid AND c.id + p.id > 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -203,13 +203,13 @@ func TestResultDBResidualPredicateFallsBack(t *testing.T) {
 
 func TestResultDBRejectsOrderByAndAggregates(t *testing.T) {
 	d := paperExample(t)
-	if _, err := d.QuerySQL("SELECT RESULTDB c.name FROM customers AS c ORDER BY c.name"); err == nil {
+	if _, err := d.Exec("SELECT RESULTDB c.name FROM customers AS c ORDER BY c.name"); err == nil {
 		t.Error("RESULTDB with ORDER BY should fail")
 	}
-	if _, err := d.QuerySQL("SELECT RESULTDB COUNT(*) FROM customers AS c"); err == nil {
+	if _, err := d.Exec("SELECT RESULTDB COUNT(*) FROM customers AS c"); err == nil {
 		t.Error("RESULTDB with aggregates should fail (not SPJ)")
 	}
-	if _, err := d.QuerySQL("SELECT RESULTDB e.storage FROM products AS p LEFT OUTER JOIN electronics AS e ON p.id = e.pid"); err == nil {
+	if _, err := d.Exec("SELECT RESULTDB e.storage FROM products AS p LEFT OUTER JOIN electronics AS e ON p.id = e.pid"); err == nil {
 		t.Error("RESULTDB with outer join should fail (not SPJ)")
 	}
 }
@@ -218,7 +218,7 @@ func TestResultDBInSubqueryFilter(t *testing.T) {
 	// IN-subqueries inside a single relation's filter are pushed down and
 	// work with the semi-join path.
 	d := paperExample(t)
-	res, err := d.QuerySQL(`SELECT RESULTDB c.name FROM customers AS c, orders AS o
+	res, err := d.Exec(`SELECT RESULTDB c.name FROM customers AS c, orders AS o
 		WHERE c.id = o.cid AND c.id IN (SELECT o2.cid FROM orders AS o2 WHERE o2.pid = 3)`)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestResultDBInSubqueryFilter(t *testing.T) {
 
 func TestMultiCursorAPI(t *testing.T) {
 	d := paperExample(t)
-	res, err := d.QuerySQL(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
+	res, err := d.Exec(strings.Replace(listing1, "SELECT", "SELECT RESULTDB", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +275,10 @@ func TestTransactionStatements(t *testing.T) {
 
 func TestQueryUnknownTableAndColumn(t *testing.T) {
 	d := paperExample(t)
-	if _, err := d.QuerySQL("SELECT x.a FROM missing AS x"); err == nil {
+	if _, err := d.Exec("SELECT x.a FROM missing AS x"); err == nil {
 		t.Error("missing table should fail")
 	}
-	if _, err := d.QuerySQL("SELECT c.nope FROM customers AS c"); err == nil {
+	if _, err := d.Exec("SELECT c.nope FROM customers AS c"); err == nil {
 		t.Error("missing column should fail")
 	}
 	if _, err := d.Exec("SELECT RESULTDB c.name FROM customers AS c WHERE c.id IN (SELECT RESULTDB o.cid FROM orders AS o)"); err == nil {
@@ -307,7 +307,7 @@ func TestStrategiesAgreeOnManyQueries(t *testing.T) {
 			d := paperExample(t)
 			d.Strategy = strat
 			for _, mode := range []Mode{ModeRDB, ModeRDBRP} {
-				res, err := d.QueryResultDB(sel, mode)
+				res, err := d.NewSession().QueryResultDB(sel, mode)
 				if err != nil {
 					t.Fatalf("query %d strategy %d mode %d: %v", qi, strat, mode, err)
 				}
@@ -333,7 +333,7 @@ func TestValuesRoundTripThroughEngine(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.QuerySQL("SELECT t.f, t.b, t.s FROM t AS t ORDER BY t.f")
+	res, err := d.Exec("SELECT t.f, t.b, t.s FROM t AS t ORDER BY t.f")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,18 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 
 	"resultdb/internal/core"
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 )
 
-// Session is one client's handle on the database — the wire server opens one
-// per connection, the shell uses one for the interactive loop — making the
-// engine's visibility rules an explicit contract instead of an accident of
+// Session is one client's handle on the database and its only statement
+// executor — the wire server opens one per connection, the shell uses one
+// for the interactive loop, Database.Exec opens a fresh one per call —
+// making the engine's visibility rules an explicit contract instead of an accident of
 // locking:
 //
 //   - Snapshot isolation per statement: every statement executed through a
@@ -110,81 +111,106 @@ func (s *Session) afterWrite() {
 	}
 }
 
+// ErrInternal marks a panic confined to its statement: the statement fails
+// with an error wrapping ErrInternal ("db: internal error: ...") instead of
+// taking down an embedding process or server.
+var ErrInternal = errors.New("db: internal error")
+
 // Exec parses and executes a single SQL statement through the session.
 func (s *Session) Exec(sql string) (*Result, error) {
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := st.(*sqlparse.Select); ok {
-		sel.Src = sql
-	}
-	return s.ExecStatement(st)
+	res, _, err := s.run(sql, nil, false, nil)
+	return res, err
 }
 
 // ExecStatement executes a parsed statement through the session: reads run
 // against the session's view with the session's options; mutations go
 // through the database's serialized write path and then refresh the
-// session's view. Panics are confined to the statement, as in
-// Database.ExecStatement.
-func (s *Session) ExecStatement(st sqlparse.Statement) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
-	switch t := st.(type) {
-	case *sqlparse.Select:
-		return s.db.query(s.ctx(), t, nil)
-	case *sqlparse.Explain:
-		return s.db.execExplainAt(s.ctx(), t)
-	case *sqlparse.Analyze:
-		return s.db.execAnalyze(t)
-	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
-		*sqlparse.DropMaterializedView, *sqlparse.Insert:
-		res, err := s.db.execMutation(st)
-		if err == nil {
-			s.afterWrite()
-		}
-		return res, err
-	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
-		return &Result{}, nil
-	default:
-		return nil, fmt.Errorf("db: unsupported statement %T", st)
-	}
+// session's view.
+func (s *Session) ExecStatement(st sqlparse.Statement) (*Result, error) {
+	res, _, err := s.run("", st, false, nil)
+	return res, err
 }
 
-// Query executes a SELECT against the session's view.
+// Query executes a SELECT against the session's view. SELECT RESULTDB
+// returns one result set per output relation (Definition 2.2); everything
+// else returns a single-table result.
 func (s *Session) Query(sel *sqlparse.Select) (*Result, error) {
-	return s.db.query(s.ctx(), sel, nil)
+	return s.ExecStatement(sel)
 }
 
-// QueryResultDB executes sel with subdatabase semantics in the requested
-// mode against the session's view (the session-scoped analogue of
-// Database.QueryResultDB).
+// QueryResultDB executes sel with subdatabase semantics regardless of the
+// RESULTDB keyword, in the requested mode (RDB per Definition 2.2, RDBRP per
+// Definition 2.3). This is the programmatic entry the benchmarks use.
 func (s *Session) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return s.db.queryResultDBAt(s.ctx(), sel, mode, nil, nil)
+	forced := *sel
+	forced.ResultDB = true
+	forced.Preserving = mode == ModeRDBRP
+	return s.ExecStatement(&forced)
 }
 
-// QueryWithTrace executes a SELECT against the session's view with execution
-// tracing enabled (see Database.QueryWithTrace).
+// QueryWithTrace executes a SELECT against the session's view with
+// execution tracing enabled and returns the result together with the
+// structured trace (per-operator spans with actual cardinalities, wall
+// times, and transfer bytes). The result is bit-identical to Query's;
+// tracing only observes.
 func (s *Session) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, error) {
-	ec := s.ctx()
-	tr := trace.New(sel.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := s.db.query(ec, sel, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr.Finish(), nil
+	return s.run("", sel, true, nil)
 }
 
 // ExecStream executes one SQL statement through the session, delivering the
-// result incrementally (see Database.ExecStream for the begin/emit
-// contract). Reads stream from the session's view; mutations execute
-// through the write path, refresh the session's view, and replay their
-// result.
+// result incrementally: begin is called exactly once with the header (set
+// count, post-join plan, reduction stats), then emit once per result set, in
+// result order. For uncached SELECTs the calls interleave with execution —
+// emit(set_i) runs before relation i+1 is projected, which is what makes
+// server-side pipelining (execute ‖ encode ‖ transmit) possible. Cached
+// SELECTs and non-SELECT statements execute fully first and then replay
+// their result through the callbacks, so consumers see one protocol either
+// way.
+//
+// The returned Result is the same value Exec would have produced. An error
+// from begin or emit aborts execution and is returned verbatim; an
+// execution error after begin was already called is returned too —
+// streaming consumers must be prepared to abandon a stream mid-flight.
 func (s *Session) ExecStream(sql string, begin func(StreamMeta) error, emit func(*ResultSet) error) (*Result, error) {
-	return s.db.execStreamAt(s.ctx(), s.afterWrite, sql, begin, emit)
+	res, _, err := s.run(sql, nil, false, &streamSink{beginFn: begin, emitFn: emit})
+	return res, err
+}
+
+// run is the one statement path every entry point goes through: it executes
+// st, or the statement parsed from sql when st is nil. A panic anywhere
+// below it, the parser and the sink's callbacks included, is confined to the
+// statement and surfaces as an ErrInternal error. traced asks a SELECT for
+// its execution trace; a non-nil sink receives the result as a stream.
+func (s *Session) run(sql string, st sqlparse.Statement, traced bool, sink *streamSink) (res *Result, tr *trace.Trace, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, tr, err = nil, nil, fmt.Errorf("%w: %v", ErrInternal, p)
+		}
+	}()
+	if st == nil {
+		if st, err = sqlparse.Parse(sql); err != nil {
+			return nil, nil, err
+		}
+	}
+	switch t := st.(type) {
+	case *sqlparse.Select:
+		return s.db.query(s.ctx(), t, traced, sink)
+	case *sqlparse.Explain:
+		res, err = s.db.explain(s.ctx(), t)
+	case *sqlparse.Analyze:
+		res, err = s.db.execAnalyze(t)
+	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
+		*sqlparse.DropMaterializedView, *sqlparse.Insert:
+		if res, err = s.db.execMutation(st); err == nil {
+			s.afterWrite()
+		}
+	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
+		res = &Result{}
+	default:
+		err = fmt.Errorf("db: unsupported statement %T", st)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, nil, sink.replay(res)
 }

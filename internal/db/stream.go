@@ -1,11 +1,6 @@
 package db
 
-import (
-	"fmt"
-
-	"resultdb/internal/core"
-	"resultdb/internal/sqlparse"
-)
+import "resultdb/internal/core"
 
 // StreamMeta is the response header of a streamed execution: everything a
 // consumer must know before the first result set arrives. For RESULTDB
@@ -44,82 +39,14 @@ func (s *streamSink) emit(set *ResultSet) error {
 	return s.emitFn(set)
 }
 
-// ExecStream executes one SQL statement, delivering the result incrementally:
-// begin is called exactly once with the header (set count, post-join plan,
-// reduction stats), then emit once per result set, in result order. For
-// uncached SELECTs the calls interleave with execution — emit(set_i) runs
-// before relation i+1 is projected, which is what makes server-side
-// pipelining (execute ‖ encode ‖ transmit) possible. Cached SELECTs and
-// non-SELECT statements execute fully first and then replay their result
-// through the callbacks, so consumers see one protocol either way.
-//
-// SELECTs stream from a snapshot pinned at entry, lock-free: the emitted
-// sets are immutable views of one committed state even while writers
-// publish concurrently.
-//
-// The returned Result is the same value a plain Exec would have produced.
-// An error from begin or emit aborts execution and is returned verbatim; an
-// execution error after begin was already called is returned too — streaming
-// consumers must be prepared to abandon a stream mid-flight.
-func (d *Database) ExecStream(sql string, begin func(StreamMeta) error, emit func(*ResultSet) error) (*Result, error) {
-	return d.execStreamAt(d.readCtx(), nil, sql, begin, emit)
-}
-
-// execStreamAt is ExecStream against an explicit execution context.
-// onMutated, when non-nil, runs after a successful non-SELECT statement
-// (sessions refresh their pinned view through it).
-func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin func(StreamMeta) error, emit func(*ResultSet) error) (res *Result, err error) {
-	// Same panic confinement as ExecStatement: a poisoned query surfaces as
-	// a statement error (the stream is abandoned mid-flight), not a crash.
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok {
-		res, err := d.ExecStatement(st)
-		if err != nil {
-			return nil, err
-		}
-		if onMutated != nil {
-			onMutated()
-		}
-		return res, replayStream(res, begin, emit)
-	}
-	if ec.opts.ResultCache {
-		// The cache stores whole results (and may return one computed by a
-		// concurrent identical query at the same snapshot versions), so the
-		// streamed form is a replay.
-		res, err := d.queryCached(ec, sel)
-		if err != nil {
-			return nil, err
-		}
-		return res, replayStream(res, begin, emit)
-	}
-	sink := &streamSink{beginFn: begin, emitFn: emit}
-	if sel.ResultDB {
-		mode := ModeRDB
-		if sel.Preserving {
-			mode = ModeRDBRP
-		}
-		return d.queryResultDBAt(ec, sel, mode, nil, sink)
-	}
-	return d.querySingleTableAt(ec, sel, nil, sink)
-}
-
-// replayStream feeds an already-materialized result through the streaming
-// callbacks (used for cached results and non-SELECT statements).
-func replayStream(res *Result, begin func(StreamMeta) error, emit func(*ResultSet) error) error {
-	if err := begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Stats: res.Stats}); err != nil {
+// replay feeds an already-materialized result through the sink (cached
+// SELECTs and non-SELECT statements).
+func (s *streamSink) replay(res *Result) error {
+	if err := s.begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Stats: res.Stats}); err != nil {
 		return err
 	}
 	for _, set := range res.Sets {
-		if err := emit(set); err != nil {
+		if err := s.emit(set); err != nil {
 			return err
 		}
 	}

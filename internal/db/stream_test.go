@@ -25,7 +25,7 @@ func collect(t *testing.T, d *Database, sql string) (StreamMeta, []*ResultSet, *
 	var meta StreamMeta
 	var sets []*ResultSet
 	begun := false
-	res, err := d.ExecStream(sql,
+	res, err := d.NewSession().ExecStream(sql,
 		func(m StreamMeta) error {
 			if begun {
 				t.Fatal("begin called twice")
@@ -135,13 +135,13 @@ func TestExecStreamCallbackErrorsAbort(t *testing.T) {
 	d := streamDB(t)
 	sql := "SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id"
 	boom := errors.New("sink full")
-	if _, err := d.ExecStream(sql,
+	if _, err := d.NewSession().ExecStream(sql,
 		func(StreamMeta) error { return boom },
 		func(*ResultSet) error { return nil }); !errors.Is(err, boom) {
 		t.Fatalf("begin error not propagated: %v", err)
 	}
 	emits := 0
-	if _, err := d.ExecStream(sql,
+	if _, err := d.NewSession().ExecStream(sql,
 		func(StreamMeta) error { return nil },
 		func(*ResultSet) error { emits++; return boom }); !errors.Is(err, boom) {
 		t.Fatalf("emit error not propagated: %v", err)

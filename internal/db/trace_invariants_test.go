@@ -33,7 +33,7 @@ func tracedQuery(t *testing.T, d *db.Database, sql string, resultDB bool) (*db.R
 		t.Fatalf("parse: %v", err)
 	}
 	sel.ResultDB = resultDB
-	res, tr, err := d.QueryWithTrace(sel)
+	res, tr, err := d.NewSession().QueryWithTrace(sel)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -133,11 +133,11 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel.ResultDB = true
-		plain, err := d.Query(sel)
+		plain, err := d.NewSession().Query(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, _, err := d.QueryWithTrace(sel)
+		traced, _, err := d.NewSession().QueryWithTrace(sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,3 +219,28 @@ func TestPlanVerdictReusedUntilInsert(t *testing.T) {
 		t.Fatal("verdict not re-recorded after the INSERT")
 	}
 }
+
+// The buffered and the streamed path parse the same text into a Select with
+// the same Src, so they share one plan verdict.
+func TestPlanVerdictSharedByBufferedAndStreamed(t *testing.T) {
+	d := versionTestDB(t)
+	d.DisableCache() // every execution plans
+	mustExec(t, d, versionJoin)
+	sess := d.NewSession()
+	for i := 0; i < 3; i++ {
+		if _, err := sess.ExecStream(versionJoin,
+			func(StreamMeta) error { return nil },
+			func(*ResultSet) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.planMu.Lock()
+	n := len(d.planVerdicts)
+	d.planMu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d plan verdicts after buffered and streamed runs of one statement, want 1", n)
+	}
+	if !d.planConfirmedHeuristic(d.Snapshot(), versionJoin, verdictSpec(t, d, versionJoin)) {
+		t.Fatal("no verdict recorded under the statement text")
+	}
+}

@@ -47,7 +47,7 @@ func encodeSuite(t *testing.T, d *db.Database, suite []suiteQuery) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, q := range suite {
-		res, err := d.QuerySQL(q.sql)
+		res, err := d.Exec(q.sql)
 		if err != nil {
 			t.Fatalf("suite %s: %v", q.name, err)
 		}
@@ -480,7 +480,7 @@ func TestRecoveryLiveness(t *testing.T) {
 	if st := mgr.Stats(); st.Replayed != 0 || st.TornTail {
 		t.Fatalf("post-checkpoint reopen stats = %+v", st)
 	}
-	res, err := d.QuerySQL("SELECT t.tag FROM t AS t WHERE t.id = 3")
+	res, err := d.Exec("SELECT t.tag FROM t AS t WHERE t.id = 3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestFreshOpenBootstrapCheckpointReplay(t *testing.T) {
 	if st := m2.Stats(); st.Replayed != 1 || st.RecoveredLSN != 1 {
 		t.Fatalf("reopen stats = %+v", st)
 	}
-	res, err := d2.QuerySQL("SELECT t.tag FROM t AS t")
+	res, err := d2.Exec("SELECT t.tag FROM t AS t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCheckpointPrunesAndShortensRecovery(t *testing.T) {
 	if st := m2.Stats(); st.Replayed != 0 || st.RecoveredLSN != 6 {
 		t.Fatalf("reopen stats = %+v", st)
 	}
-	res, err := d2.QuerySQL("SELECT t.id FROM t AS t")
+	res, err := d2.Exec("SELECT t.id FROM t AS t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDirFSEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := d.QuerySQL("SELECT t.tag FROM t AS t")
+	res, err := d.Exec("SELECT t.tag FROM t AS t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestRecoveryColdCache(t *testing.T) {
 
 	m, d := openMem(t, img, Options{})
 	d.EnableCache(64 << 20)
-	if _, err := d.QuerySQL(q); err != nil {
+	if _, err := d.Exec(q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.QuerySQL(q); err != nil {
+	if _, err := d.Exec(q); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.CacheStats(); st.Hits == 0 {
@@ -303,7 +303,7 @@ func TestRecoveryColdCache(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("recovered cache not cold: %+v", st)
 	}
-	res, err := rd.QuerySQL(q)
+	res, err := rd.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestRecoveryVectorizedResults(t *testing.T) {
 	m, d := openMem(t, img, Options{})
 	d.CoreOptions.Vectorized = true
 	suite := hierarchySuite()
-	if _, err := d.QuerySQL(suite[1].sql); err != nil {
+	if _, err := d.Exec(suite[1].sql); err != nil {
 		t.Fatal(err)
 	}
 	for _, sql := range crashDML(t, d, suite)[:3] {

@@ -95,7 +95,7 @@ func checkDifferential(t *testing.T, d *db.Database, name string, sel *sqlparse.
 		}
 		want := subdatabaseFingerprint(ref)
 
-		native, err := d.QueryResultDB(sel, mode)
+		native, err := d.NewSession().QueryResultDB(sel, mode)
 		if err != nil {
 			t.Fatalf("%s native: %v", label, err)
 		}

@@ -28,7 +28,7 @@ func TestMethodsAgreeOnJOBTemplates(t *testing.T) {
 			if mode == ModeRDBRP {
 				dbMode = db.ModeRDBRP
 			}
-			native, err := d.QueryResultDB(sel, dbMode)
+			native, err := d.NewSession().QueryResultDB(sel, dbMode)
 			if err != nil {
 				t.Fatalf("%s native: %v", q.Name, err)
 			}

@@ -68,7 +68,7 @@ func TestAllMethodsAgreeWithNative(t *testing.T) {
 		if mode == ModeRDBRP {
 			dbMode = db.ModeRDBRP
 		}
-		native, err := d.QueryResultDB(sel, dbMode)
+		native, err := d.NewSession().QueryResultDB(sel, dbMode)
 		if err != nil {
 			t.Fatalf("native mode %d: %v", mode, err)
 		}

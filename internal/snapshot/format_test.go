@@ -37,7 +37,7 @@ func TestSaveLoadLSN(t *testing.T) {
 	if lsn != 1234 {
 		t.Fatalf("lsn = %d, want 1234", lsn)
 	}
-	res, err := got.QuerySQL("SELECT t.name FROM t AS t")
+	res, err := got.Exec("SELECT t.name FROM t AS t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLegacyV1Load(t *testing.T) {
 	if len(def.PrimaryKey) != 1 || !def.Columns[0].NotNull {
 		t.Fatalf("legacy def = %+v", def)
 	}
-	res, err := got.QuerySQL("SELECT t.name FROM t AS t WHERE t.id = 1")
+	res, err := got.Exec("SELECT t.name FROM t AS t WHERE t.id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestRoundTripSchemaAndData(t *testing.T) {
 	}
 
 	// Data round trip including NULLs; the restored db answers queries.
-	res, err := got.QuerySQL("SELECT t.name FROM t AS t WHERE t.f IS NULL")
+	res, err := got.Exec("SELECT t.name FROM t AS t WHERE t.f IS NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRoundTripWorkload(t *testing.T) {
 	}
 	// RESULTDB queries agree between original and restored databases.
 	q := hierarchy.ResultDBElectronics
-	a, err := src.QuerySQL(q)
+	a, err := src.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.QuerySQL(q)
+	b, err := got.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ type Select struct {
 	OrderBy []OrderItem
 	Limit   *int64
 	// Src is the raw statement text this Select was parsed from, when the
-	// parse entry point had it (ParseSelect, Database.Exec). It is not part
+	// parse entry point had it (Parse, ParseSelect). It is not part
 	// of the statement's semantics and is never rendered; the database uses
 	// it as a cheap stable cache key to avoid re-rendering SQL() on every
 	// execution of a re-parsed statement. Empty when the Select was built

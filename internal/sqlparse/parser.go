@@ -15,7 +15,8 @@ type parser struct {
 	src  string
 }
 
-// Parse parses a single SQL statement (a trailing semicolon is allowed).
+// Parse parses a single SQL statement (a trailing semicolon is allowed). A
+// SELECT records src as its Src.
 func Parse(src string) (Statement, error) {
 	stmts, err := ParseScript(src)
 	if err != nil {
@@ -23,6 +24,9 @@ func Parse(src string) (Statement, error) {
 	}
 	if len(stmts) != 1 {
 		return nil, fmt.Errorf("sqlparse: expected exactly one statement, got %d", len(stmts))
+	}
+	if sel, ok := stmts[0].(*Select); ok {
+		sel.Src = src
 	}
 	return stmts[0], nil
 }
@@ -37,7 +41,6 @@ func ParseSelect(src string) (*Select, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqlparse: expected a SELECT statement")
 	}
-	sel.Src = src
 	return sel, nil
 }
 

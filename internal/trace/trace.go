@@ -17,7 +17,7 @@
 //     any degree of parallelism. Wall times, the degree itself, and morsel
 //     counts may differ between runs; CountsFingerprint excludes them.
 //
-// EXPLAIN, EXPLAIN ANALYZE, db.QueryWithTrace, and the -trace CLI flags all
+// EXPLAIN, EXPLAIN ANALYZE, Session.QueryWithTrace, and the -trace CLI flags all
 // render from this one structure (see render.go), so there is exactly one
 // plan-rendering path.
 package trace

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"resultdb/internal/catalog"
 	"resultdb/internal/db"
 	"resultdb/internal/faultnet"
+	"resultdb/internal/storage"
+	"resultdb/internal/types"
 )
 
 // The chaos differential gate: a retrying client driven through every
@@ -547,6 +550,47 @@ func TestServerStats(t *testing.T) {
 		if !bytes.Contains([]byte(joined), []byte(want)) {
 			t.Errorf("stats trace missing %q in:\n%s", want, joined)
 		}
+	}
+}
+
+// TestServerStatsCountsConfinedPanics publishes a table whose row is shorter
+// than its schema, so projecting the missing column panics inside the
+// executor. The session confines the panic to its statement; the server must
+// still count it as a panic, on buffered and streamed connections alike.
+func TestServerStatsCountsConfinedPanics(t *testing.T) {
+	for _, streaming := range []bool{false, true} {
+		t.Run(fmt.Sprintf("streaming=%t", streaming), func(t *testing.T) {
+			d := db.New()
+			def, err := catalog.NewTableDef("bad", []catalog.Column{
+				{Name: "a", Type: types.KindInt}, {Name: "b", Type: types.KindInt},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := storage.NewTable(def)
+			bad.Rows = append(bad.Rows, types.Row{types.NewInt(1)})
+			if err := d.CreateTables(bad); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(d)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := DialOptions(addr, Options{Version: FormatV2, Streaming: streaming})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, err = c.Exec("SELECT t.b FROM bad AS t")
+			if err == nil || !strings.Contains(err.Error(), "db: internal error") {
+				t.Fatalf("malformed row: err = %v, want a confined internal error", err)
+			}
+			if st := srv.Stats(); st.Panics != 1 || st.QueryErrors != 1 {
+				t.Fatalf("stats = panics %d, query_errors %d; want 1 and 1", st.Panics, st.QueryErrors)
+			}
+		})
 	}
 }
 

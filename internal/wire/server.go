@@ -199,7 +199,8 @@ type ServerStats struct {
 	Queries int64 `json:"queries"`
 	// QueryErrors counts statements that returned an error.
 	QueryErrors int64 `json:"query_errors"`
-	// Panics counts executor panics confined to their connection.
+	// Panics counts executor panics confined to their statement
+	// (db.ErrInternal) or connection.
 	Panics int64 `json:"panics"`
 	// WriteStalls counts connections shed because a response write missed
 	// the WriteTimeout — a slow or stuck client reader.
@@ -389,18 +390,15 @@ func (s *Server) maxVersion() int {
 	return s.MaxVersion
 }
 
-// execBuffered runs one statement on the connection's session with panics
-// confined to the connection: an executor panic becomes a statement error
-// (terminal for the client — a deterministic panic would just repeat)
-// instead of a dead server.
-func (s *Server) execBuffered(sess *db.Session, sql string) (res *db.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.stats.panics.Add(1)
-			err = fmt.Errorf("internal error: %v", p)
-		}
-	}()
-	return sess.Exec(sql)
+// statementFailed counts a failed statement. The session confines an
+// executor panic to its statement as a db.ErrInternal error (terminal for
+// the client — a deterministic panic would just repeat); it counts as a
+// panic too.
+func (s *Server) statementFailed(err error) {
+	s.stats.queryErrors.Add(1)
+	if errors.Is(err, db.ErrInternal) {
+		s.stats.panics.Add(1)
+	}
 }
 
 // isTimeout reports whether err is a deadline miss.
@@ -526,9 +524,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		res, err := s.execBuffered(sess, string(payload))
+		res, err := sess.Exec(string(payload))
 		if err != nil {
-			s.stats.queryErrors.Add(1)
+			s.statementFailed(err)
 			if werr := reply(frameErr, []byte(err.Error())); werr != nil {
 				return
 			}
@@ -601,29 +599,21 @@ func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply,
 		}
 	}
 
-	res, execErr := func() (res *db.Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.stats.panics.Add(1)
-				err = fmt.Errorf("internal error: %v", p)
-			}
-		}()
-		return sess.ExecStream(sql,
-			func(meta db.StreamMeta) error {
-				return enqueue(func() []byte {
-					e := NewEncoderSized(16)
-					e.encodeHeader(version, meta.NumSets, meta.Plan != nil)
-					return e.Bytes()
-				})
-			},
-			func(set *db.ResultSet) error {
-				return enqueue(func() []byte {
-					e := NewEncoderSized(setCapacityHint(set))
-					e.encodeSetVersion(set, version, par)
-					return e.Bytes()
-				})
+	res, execErr := sess.ExecStream(sql,
+		func(meta db.StreamMeta) error {
+			return enqueue(func() []byte {
+				e := NewEncoderSized(16)
+				e.encodeHeader(version, meta.NumSets, meta.Plan != nil)
+				return e.Bytes()
 			})
-	}()
+		},
+		func(set *db.ResultSet) error {
+			return enqueue(func() []byte {
+				e := NewEncoderSized(setCapacityHint(set))
+				e.encodeSetVersion(set, version, par)
+				return e.Bytes()
+			})
+		})
 	if execErr == nil && res.PostJoinPlan != nil {
 		execErr = enqueue(func() []byte {
 			e := NewEncoder()
@@ -637,7 +627,7 @@ func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply,
 		return false
 	}
 	if execErr != nil {
-		s.stats.queryErrors.Add(1)
+		s.statementFailed(execErr)
 		// Either the statement failed (possibly mid-stream — the client
 		// discards the partial response) or enqueue aborted on a write
 		// error already handled above.

@@ -22,7 +22,7 @@ func TestLoadAndSubtypePartition(t *testing.T) {
 		t.Errorf("subtypes %d + %d != 200", e.Len(), c.Len())
 	}
 	// Every subtype row references an existing product (FK integrity).
-	res, err := d.QuerySQL(`SELECT COUNT(*) FROM electronics AS e, products AS p WHERE e.pid = p.id`)
+	res, err := d.Exec(`SELECT COUNT(*) FROM electronics AS e, products AS p WHERE e.pid = p.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestOuterJoinVsResultDBConsistency(t *testing.T) {
 	if err := Load(d, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	outer, err := d.QuerySQL(OuterJoinQuery)
+	outer, err := d.Exec(OuterJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestOuterJoinVsResultDBConsistency(t *testing.T) {
 		}
 	}
 
-	elec, err := d.QuerySQL(ResultDBElectronics)
+	elec, err := d.Exec(ResultDBElectronics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloth, err := d.QuerySQL(ResultDBClothing)
+	cloth, err := d.Exec(ResultDBClothing)
 	if err != nil {
 		t.Fatal(err)
 	}

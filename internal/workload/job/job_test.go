@@ -97,11 +97,11 @@ func TestForeignKeyIntegrity(t *testing.T) {
 		{"movie_keyword", "keyword_id", "keyword"},
 	}
 	for _, c := range checks {
-		factN, err := d.QuerySQL("SELECT COUNT(*) FROM " + c.fact + " AS f")
+		factN, err := d.Exec("SELECT COUNT(*) FROM " + c.fact + " AS f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		joinN, err := d.QuerySQL("SELECT COUNT(*) FROM " + c.fact + " AS f, " + c.hub +
+		joinN, err := d.Exec("SELECT COUNT(*) FROM " + c.fact + " AS f, " + c.hub +
 			" AS h WHERE f." + c.col + " = h.id")
 		if err != nil {
 			t.Fatal(err)
@@ -133,11 +133,11 @@ func TestResultDBMatchesDecomposeOnAllTemplates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []db.Mode{db.ModeRDB, db.ModeRDBRP} {
-			a, err := semi.QueryResultDB(sel, mode)
+			a, err := semi.NewSession().QueryResultDB(sel, mode)
 			if err != nil {
 				t.Fatalf("%s semi mode %d: %v", q.Name, mode, err)
 			}
-			b, err := dec.QueryResultDB(sel, mode)
+			b, err := dec.NewSession().QueryResultDB(sel, mode)
 			if err != nil {
 				t.Fatalf("%s dec mode %d: %v", q.Name, mode, err)
 			}
@@ -178,11 +178,11 @@ func TestLoadAndRunAllQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", q.Name, err)
 		}
-		st, err := d.Query(sel)
+		st, err := d.NewSession().Query(sel)
 		if err != nil {
 			t.Fatalf("%s: single-table: %v", q.Name, err)
 		}
-		rdb, err := d.QueryResultDB(sel, db.ModeRDB)
+		rdb, err := d.NewSession().QueryResultDB(sel, db.ModeRDB)
 		if err != nil {
 			t.Fatalf("%s: resultdb: %v", q.Name, err)
 		}

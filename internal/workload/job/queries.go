@@ -7,7 +7,7 @@ type Query struct {
 	// Name matches the JOB instance naming the paper reports (1b, 2a, ...).
 	Name string
 	// SQL is the single-table form; annotate with RESULTDB or pass through
-	// db.QueryResultDB for the subdatabase forms.
+	// Session.QueryResultDB for the subdatabase forms.
 	SQL string
 	// Cyclic marks templates whose join graph is JG-cyclic (they exercise
 	// the folding path of Algorithm 4).

@@ -38,7 +38,7 @@ func TestLoadShapes(t *testing.T) {
 		{"lo_suppkey", "supplier", "s_id"},
 		{"lo_orderdate", "dates", "d_id"},
 	} {
-		res, err := d.QuerySQL("SELECT COUNT(*) FROM lineorder AS lo, " + dim.tab +
+		res, err := d.Exec("SELECT COUNT(*) FROM lineorder AS lo, " + dim.tab +
 			" AS x WHERE lo." + dim.col + " = x." + dim.key)
 		if err != nil {
 			t.Fatal(err)
@@ -60,15 +60,15 @@ func TestAllFlightsRunBothWays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", q.Name, err)
 		}
-		st, err := d.Query(sel)
+		st, err := d.NewSession().Query(sel)
 		if err != nil {
 			t.Fatalf("%s: single table: %v", q.Name, err)
 		}
-		rdb, err := d.QueryResultDB(sel, db.ModeRDB)
+		rdb, err := d.NewSession().QueryResultDB(sel, db.ModeRDB)
 		if err != nil {
 			t.Fatalf("%s: resultdb: %v", q.Name, err)
 		}
-		rdbrp, err := d.QueryResultDB(sel, db.ModeRDBRP)
+		rdbrp, err := d.NewSession().QueryResultDB(sel, db.ModeRDBRP)
 		if err != nil {
 			t.Fatalf("%s: rdbrp: %v", q.Name, err)
 		}
@@ -95,11 +95,11 @@ func TestDimensionCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel, _ := sqlparse.ParseSelect(q.SQL)
-	st, err := d.Query(sel)
+	st, err := d.NewSession().Query(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdb, err := d.QueryResultDB(sel, db.ModeRDB)
+	rdb, err := d.NewSession().QueryResultDB(sel, db.ModeRDB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestStrategiesAgreeOnSSB(t *testing.T) {
 	dec.Strategy = db.StrategyDecompose
 	for _, q := range Queries() {
 		sel, _ := sqlparse.ParseSelect(q.SQL)
-		a, err := semi.QueryResultDB(sel, db.ModeRDB)
+		a, err := semi.NewSession().QueryResultDB(sel, db.ModeRDB)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		b, err := dec.QueryResultDB(sel, db.ModeRDB)
+		b, err := dec.NewSession().QueryResultDB(sel, db.ModeRDB)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -170,7 +170,7 @@ func TestAggregateFlightsMatchManualAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", aq.Name, err)
 		}
-		res, err := d.Query(sel)
+		res, err := d.NewSession().Query(sel)
 		if err != nil {
 			t.Fatalf("%s: %v", aq.Name, err)
 		}
@@ -185,7 +185,7 @@ func TestAggregateFlightsMatchManualAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	spjSel, _ := sqlparse.ParseSelect(spj.SQL)
-	rows, err := d.Query(spjSel)
+	rows, err := d.NewSession().Query(spjSel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestAggregateFlightsMatchManualAggregation(t *testing.T) {
 		manual[key] += r[3].Int()
 	}
 	aggSel, _ := sqlparse.ParseSelect(AggregateQueries()[2].SQL)
-	agg, err := d.Query(aggSel)
+	agg, err := d.NewSession().Query(aggSel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestLoadShapesAndCartesianFact(t *testing.T) {
 		}
 	}
 	// Every dimension combination appears exactly once.
-	res, err := d.QuerySQL("SELECT COUNT(*) FROM fact AS f, d1 AS d1 WHERE f.d1_id = d1.id")
+	res, err := d.Exec("SELECT COUNT(*) FROM fact AS f, d1 AS d1 WHERE f.d1_id = d1.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSelectivityIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// val < 50 must select exactly half of each dimension (val = r*100/n).
-	res, err := d.QuerySQL("SELECT COUNT(*) FROM d1 AS d1 WHERE d1.val < 50")
+	res, err := d.Exec("SELECT COUNT(*) FROM d1 AS d1 WHERE d1.val < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSelectivityIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := d.Query(sel)
+	out, err := d.NewSession().Query(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,15 @@ func TestQueriesParseAndModesShrink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PayloadQuery(%v): %v", s, err)
 		}
-		st, err := d.Query(full)
+		st, err := d.NewSession().Query(full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rdbrp, err := d.QueryResultDB(full, db.ModeRDBRP)
+		rdbrp, err := d.NewSession().QueryResultDB(full, db.ModeRDBRP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rdb, err := d.QueryResultDB(payload, db.ModeRDB)
+		rdb, err := d.NewSession().QueryResultDB(payload, db.ModeRDB)
 		if err != nil {
 			t.Fatal(err)
 		}

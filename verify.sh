@@ -3,7 +3,8 @@
 #
 # Runs static checks (gofmt, vet), a full build, the complete test suite
 # (which includes the cache differential gate: cold/warm/post-DML executions
-# byte-identical to an uncached oracle across JOB, star, and hierarchy), an
+# byte-identical to an uncached oracle across JOB, star, and hierarchy), vet
+# and tests of the separate perfbench module, an
 # uncached rerun at GOMAXPROCS=1 and 4 of the packages whose goldens must not
 # depend on the host's CPU count, the race detector
 # over the concurrency-sensitive packages (the morsel-parallel execution
@@ -46,6 +47,12 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== perfbench module (vet + test against this tree's internal packages)"
+# perfbench is its own module (replace resultdb => ../), so go build ./...
+# above never compiles it against the current internal/db API.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== determinism across CPU counts (db, core, trace, wire at GOMAXPROCS=1 and 4, uncached)"
 # go test's result cache does not key on GOMAXPROCS, so -count=1 is required:
