@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"resultdb/internal/types"
@@ -11,7 +12,8 @@ import (
 
 // checkKeySet compares BuildKeySet(build) against the row-path types.KeySet
 // built from buildRows: same distinct-key count, and the same membership
-// answer for every row of probe.
+// answer for every row of probe from Contains and from Filter, the latter
+// over two morsels and, for a view probe, under a selection vector too.
 func checkKeySet(t *testing.T, name string, build Key, buildRows []types.Row, buildCols []int,
 	probe Key, probeRows []types.Row, probeCols []int) *KeySet {
 	t.Helper()
@@ -23,10 +25,42 @@ func checkKeySet(t *testing.T, name string, build Key, buildRows []types.Row, bu
 	if s.Len() != ref.Len() {
 		t.Fatalf("%s: Len = %d, want %d", name, s.Len(), ref.Len())
 	}
+	var want []int32
 	for j, r := range probeRows {
-		if got, want := s.Contains(probe, j), ref.ContainsKey(r, probeCols); got != want {
-			t.Fatalf("%s: Contains(probe %d %v) = %v, want %v", name, j, r, got, want)
+		got, in := s.Contains(probe, j), ref.ContainsKey(r, probeCols)
+		if got != in {
+			t.Fatalf("%s: Contains(probe %d %v) = %v, want %v", name, j, r, got, in)
 		}
+		if in {
+			want = append(want, int32(j))
+		}
+	}
+	mid := len(probeRows) / 2
+	if got := s.Filter(probe, mid, len(probeRows), s.Filter(probe, 0, mid, nil)); !slices.Equal(got, want) {
+		t.Fatalf("%s: Filter = %v, want %v", name, got, want)
+	}
+	if probe.view == nil {
+		return s
+	}
+	var keep, wantSel []int32
+	for j := 0; j < len(probeRows); j += 2 {
+		if ref.ContainsKey(probeRows[j], probeCols) {
+			wantSel = append(wantSel, int32(len(keep)))
+		}
+		keep = append(keep, int32(j))
+	}
+	sel := ViewKey(probe.view.Narrow(keep), probe.cols)
+	if got := s.Filter(sel, 0, len(keep), nil); !slices.Equal(got, wantSel) {
+		t.Fatalf("%s: Filter under a selection vector = %v, want %v", name, got, wantSel)
+	}
+	var got []int32
+	for i := range keep {
+		if s.Contains(sel, i) {
+			got = append(got, int32(i))
+		}
+	}
+	if !slices.Equal(got, wantSel) {
+		t.Fatalf("%s: Contains under a selection vector = %v, want %v", name, got, wantSel)
 	}
 	return s
 }
@@ -58,13 +92,90 @@ func TestKeySetIntBoundary(t *testing.T) {
 	kinds := []types.Kind{types.KindInt}
 	s := checkKeySet(t, "int-boundary", viewKey(kinds, rows, []int{0}), rows, []int{0},
 		RowsKey(rows, []int{0}), rows, []int{0})
-	if s.ints == nil {
-		t.Fatal("a single INTEGER view key must use the float-bit encoding")
+	if s.ints == nil || s.bits != nil {
+		t.Fatal("a single INTEGER view key too sparse for a bitmap must use the float-bit encoding")
 	}
 	probe := oneCol(types.NewInt(p53 + 1))
 	build := oneCol(types.NewInt(p53))
 	if !BuildKeySet(viewKey(kinds, build, []int{0})).Contains(viewKey(kinds, probe, []int{0}), 0) {
 		t.Fatal("2^53+1 must match 2^53, as under types.Equal")
+	}
+}
+
+// TestKeySetDense covers the dense bitmap encoding's admission rule (span
+// and magnitude limits, NULLs not counted) and its probe edges: keys just
+// outside [lo, hi], INTEGERs that wrap the offset, and DOUBLE probes that
+// must match only when they are the exact integer.
+func TestKeySetDense(t *testing.T) {
+	const p52 = int64(1) << 52
+	ints := func(vs ...int64) []types.Row {
+		rows := make([]types.Row, len(vs))
+		for i, v := range vs {
+			rows[i] = types.Row{types.NewInt(v)}
+		}
+		return rows
+	}
+	null := types.Row{types.Null()}
+	kinds := []types.Kind{types.KindInt}
+	cols := []int{0}
+	for _, c := range []struct {
+		name  string
+		build []types.Row
+		dense bool
+	}{
+		{"at-span-limit", ints(0, 64*2+63), true},
+		{"past-span-limit", ints(0, 64*2+64), false},
+		{"nulls-not-counted", append(ints(5, 5+64*2+63), null, null), true},
+		{"nulls-past-limit", append(ints(5, 5+64*2+64), null, null, null), false},
+		{"max-magnitude", ints(p52-1, p52-2), true},
+		{"min-magnitude", ints(-p52+1, -p52+2, -p52+1), true},
+		{"past-max-magnitude", ints(p52, p52-1), false},
+		{"past-min-magnitude", ints(-p52, -p52+1), false},
+		{"small", ints(3, 1, 2, 3, 1, 0), true},
+		{"all-null", []types.Row{null, null}, false},
+	} {
+		var lo, hi int64
+		first := true
+		for _, r := range c.build {
+			if r[0].IsNull() {
+				continue
+			}
+			x := r[0].Int()
+			if first || x < lo {
+				lo = x
+			}
+			if first || x > hi {
+				hi = x
+			}
+			first = false
+		}
+		probe := append(ints(lo-1, lo, lo+1, hi-1, hi, hi+1, math.MaxInt64, math.MinInt64,
+			p52-1, p52, -p52+1, -p52, 1<<53, 1<<53+1), null)
+		for _, f := range []float64{float64(lo), float64(hi), float64(hi + 1), float64(lo) - 0.5,
+			1.0, 1.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), float64(p52), float64(1 << 53)} {
+			probe = append(probe, types.Row{types.NewFloat(f)})
+		}
+		bk := viewKey(kinds, c.build, cols)
+		s := checkKeySet(t, c.name, bk, c.build, cols, RowsKey(probe, cols), probe, cols)
+		if got := s.bits != nil; got != c.dense {
+			t.Fatalf("%s: dense = %v, want %v", c.name, got, c.dense)
+		}
+		checkKeySet(t, c.name+"/int-view", bk, c.build, cols, viewKey(kinds, probe[:15], cols), probe[:15], cols)
+		checkKeySet(t, c.name+"/double-view", bk, c.build, cols,
+			viewKey([]types.Kind{types.KindFloat}, probe[14:], cols), probe[14:], cols)
+	}
+	// The DOUBLE probes against {0, 1, 2}: exact integers match, -0.0 does not.
+	build := ints(0, 1, 2)
+	probe := oneCol(types.NewFloat(1.0), types.NewFloat(1.5), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.NaN()), types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NewFloat(2), types.Null())
+	s := BuildKeySet(viewKey(kinds, build, cols))
+	if s.bits == nil {
+		t.Fatal("{0, 1, 2} must use the dense encoding")
+	}
+	for j, w := range []bool{true, false, true, false, false, false, false, true, false} {
+		if got := s.Contains(RowsKey(probe, cols), j); got != w {
+			t.Fatalf("probe %v: Contains = %v, want %v", probe[j][0], got, w)
+		}
 	}
 }
 

@@ -237,13 +237,7 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 			}
 			return idx
 		})
-		out.Rows = make([]types.Row, len(kept))
-		for i, j := range kept {
-			out.Rows[i] = target.Rel.Rows[j]
-		}
-		if target.Rel.Vec != nil {
-			out.Vec = target.Rel.Vec.Narrow(kept)
-		}
+		out = target.Rel.Keep(kept)
 	} else {
 		if parallel.Chunks(len(source.Rel.Rows), par) > 1 {
 			parallel.For(len(source.Rel.Rows), par, func(lo, hi int) {

@@ -81,6 +81,20 @@ func (r *Relation) ColumnsOf(rel string) []int {
 	return out
 }
 
+// Keep returns the relation restricted to the row positions in kept
+// (ascending): the rows gathered as pointer copies, and the columnar view,
+// when present, narrowed to match.
+func (r *Relation) Keep(kept []int32) *Relation {
+	out := &Relation{Cols: r.Cols, Rows: make([]types.Row, len(kept))}
+	for i, j := range kept {
+		out.Rows[i] = r.Rows[j]
+	}
+	if r.Vec != nil {
+		out.Vec = r.Vec.Narrow(kept)
+	}
+	return out
+}
+
 // Project returns a new relation restricted to the given column positions.
 func (r *Relation) Project(cols []int) *Relation {
 	return r.ProjectPar(cols, 0)

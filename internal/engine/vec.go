@@ -422,11 +422,12 @@ func SemiJoinVec(l *Relation, lCols []int, r *Relation, rCols []int, par int) *R
 }
 
 // SemiJoinVecSpan is the vectorized l ⋉ r: the build side's distinct keys go
-// into a flat colstore.KeySet (no per-key allocation; float-bit INTEGER keys,
-// dictionary-hash text keys), the probe emits a selection vector, and only
-// the surviving rows are gathered. Either side may be columnar or row-major;
-// the result carries l's view narrowed to the survivors when l was columnar.
-// Bit-identical to SemiJoinSpan.
+// into a flat colstore.KeySet (no per-key allocation; a bitmap for dense
+// INTEGER keys, float-bit INTEGER keys, dictionary-hash text keys), the batch
+// probe emits a selection vector per morsel, and only the surviving rows are
+// gathered. Either side may be columnar or row-major; the result carries l's
+// view narrowed to the survivors when l was columnar. Bit-identical to
+// SemiJoinSpan.
 func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
@@ -441,23 +442,9 @@ func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int
 		t0 = time.Now()
 	}
 	probe := KeyFor(l, lCols)
-	kept := parallel.Map(len(l.Rows), par, func(lo, hi int) []int32 {
-		out := make([]int32, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			if keys.Contains(probe, j) {
-				out = append(out, int32(j))
-			}
-		}
-		return out
-	})
-	out := &Relation{Cols: l.Cols}
-	out.Rows = make([]types.Row, len(kept))
-	for i, j := range kept {
-		out.Rows[i] = l.Rows[j]
-	}
-	if l.Vec != nil {
-		out.Vec = l.Vec.Narrow(kept)
-	}
+	out := l.Keep(parallel.Map(len(l.Rows), par, func(lo, hi int) []int32 {
+		return keys.Filter(probe, lo, hi, make([]int32, 0, hi-lo))
+	}))
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}

@@ -775,12 +775,25 @@ func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
 	return nil
 }
 
+// flateReaders pools deflate decompressors (each holds a 32 KiB window)
+// across columns and goroutines. Reset clears every bit of stream state,
+// including a previous stream's error, so a reader is reusable after any
+// outcome.
+var flateReaders sync.Pool
+
 // inflateColumn decompresses a deflate stream with a hard output cap (1032
 // is deflate's maximum compression ratio, so anything past 1032x the input
 // is hostile by construction).
 func inflateColumn(comp []byte, limit int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
+	fr, ok := flateReaders.Get().(io.ReadCloser)
+	if ok {
+		if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+			return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)
+		}
+	} else {
+		fr = flate.NewReader(bytes.NewReader(comp))
+	}
+	defer flateReaders.Put(fr)
 	out, err := io.ReadAll(io.LimitReader(fr, int64(limit)+1))
 	if err != nil {
 		return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)

@@ -407,6 +407,30 @@ func TestV2DecoderRejectsBadCompressedColumns(t *testing.T) {
 	}
 }
 
+// TestV2InflateAfterCorruptStream: deflate readers are pooled, so a column
+// inflated after a corrupt stream, or after one cut off at the output cap,
+// must still round-trip.
+func TestV2InflateAfterCorruptStream(t *testing.T) {
+	raw := bytes.Repeat([]byte("resultdb column "), 200)
+	comp, ok := tryFlate(raw)
+	if !ok {
+		t.Fatal("a repetitive body must compress")
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := inflateColumn([]byte{0xff, 0xff, 0xff}, 1032*3+64); err == nil || !strings.Contains(err.Error(), "corrupt compressed") {
+			t.Fatalf("want corrupt-compressed error, got %v", err)
+		}
+		got, err := inflateColumn(comp, 1032*len(comp)+64)
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("inflate after a corrupt stream: %d bytes, %v; want the %d-byte body", len(got), err, len(raw))
+		}
+		if _, err := inflateColumn(comp, len(raw)-1); err == nil || !strings.Contains(err.Error(), "deflate ratio bound") {
+			t.Fatalf("want ratio-bound error, got %v", err)
+		}
+		mustRoundTripV2(t, jobishResult(500))
+	}
+}
+
 // TestEncodeResultAllocations guards the capacity hint: v1-encoding a
 // numeric result of known shape must not regrow the buffer.
 func TestEncodeResultAllocations(t *testing.T) {

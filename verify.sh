@@ -109,14 +109,25 @@ go test -race -timeout 300s -count=1 \
 echo "== vectorized benchmark smoke (both paths run once on the 16b plan)"
 go test -run '^$' -bench 'BenchmarkVectorized(Join|Reduce)16b' -benchtime 1x .
 
-echo "== fuzz smoke (10s per target)"
-go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
-go test -run '^$' -fuzz FuzzEncodeDecode -fuzztime 10s ./internal/wire
-go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/wire
-go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
-go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
-go test -run '^$' -fuzz FuzzHistogramBuild -fuzztime 10s ./internal/stats
-go test -run '^$' -fuzz FuzzKeySet -fuzztime 10s ./internal/colstore
+echo "== fuzz smoke (10s per target, with each target's final throughput)"
+# fuzz TARGET PKG runs one fuzz target and prints its last "execs: N (R/sec)"
+# progress line. /bin/sh has no pipefail, so the output is captured and the
+# exit status checked before it is filtered; a failure prints everything.
+fuzz() {
+	if ! out=$(go test -run '^$' -fuzz "$1" -fuzztime 10s "$2" 2>&1); then
+		echo "$out"
+		echo "FAIL: $1"
+		exit 1
+	fi
+	echo "$1: $(echo "$out" | grep 'execs: ' | tail -n 1)"
+}
+fuzz FuzzParse ./internal/sqlparse
+fuzz FuzzEncodeDecode ./internal/wire
+fuzz FuzzFaultPlan ./internal/wire
+fuzz FuzzWALReplay ./internal/wal
+fuzz FuzzSnapshotLoad ./internal/snapshot
+fuzz FuzzHistogramBuild ./internal/stats
+fuzz FuzzKeySet ./internal/colstore
 
 echo "== tracer overhead guard"
 # The disabled (nil) tracer path is guarded structurally — it must not
